@@ -1,8 +1,8 @@
-//! The three `Kfac::step` executors head to head at world size 4 — serial,
-//! sweep-pipelined, and the per-rank task runtime — plus the runtime's
-//! two-step lookahead split (`step_begin` before the DDP allreduce,
-//! `step_finish` after). All four are bitwise identical
-//! (see tests/pipeline_equivalence.rs); this measures the schedule cost.
+//! The two `Kfac::step` executors head to head at world size 4 — the serial
+//! reference and the per-rank task runtime — plus the runtime's two-step
+//! lookahead split (`step_begin` before the DDP allreduce, `step_finish`
+//! after). All three are bitwise identical (see
+//! tests/pipeline_equivalence.rs); this measures the schedule cost.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use kaisa_comm::ThreadComm;
@@ -16,7 +16,6 @@ const WORLD: usize = 4;
 #[derive(Clone, Copy)]
 enum Executor {
     Serial,
-    Pipelined,
     Runtime,
     RuntimeLookahead,
 }
@@ -25,7 +24,6 @@ impl Executor {
     fn label(self) -> &'static str {
         match self {
             Executor::Serial => "serial",
-            Executor::Pipelined => "pipelined",
             Executor::Runtime => "runtime",
             Executor::RuntimeLookahead => "runtime-lookahead",
         }
@@ -42,8 +40,8 @@ fn run_steps(executor: Executor) {
             .grad_worker_frac(0.5)
             .factor_update_freq(1)
             .inv_update_freq(2)
-            .pipelined(matches!(executor, Executor::Pipelined))
-            .async_runtime(matches!(executor, Executor::Runtime | Executor::RuntimeLookahead))
+            .pipelined(!matches!(executor, Executor::Serial))
+            .async_runtime(matches!(executor, Executor::RuntimeLookahead))
             .build();
         let mut kfac = Kfac::new(cfg, &mut model, comm);
         for _ in 0..4 {
@@ -63,9 +61,7 @@ fn run_steps(executor: Executor) {
 fn bench_runtime(c: &mut Criterion) {
     let mut group = c.benchmark_group("runtime");
     group.sample_size(20);
-    for executor in
-        [Executor::Serial, Executor::Pipelined, Executor::Runtime, Executor::RuntimeLookahead]
-    {
+    for executor in [Executor::Serial, Executor::Runtime, Executor::RuntimeLookahead] {
         group.bench_with_input(
             BenchmarkId::from_parameter(executor.label()),
             &executor,

@@ -1,5 +1,5 @@
-//! Machine-readable runtime benchmark: serial vs pipelined vs task-runtime
-//! executors, plus a depth sweep of the cross-iteration window, written as
+//! Machine-readable runtime benchmark: the serial reference executor plus a
+//! depth sweep of the task runtime's cross-iteration window, written as
 //! `BENCH_runtime.json` for CI artifact archival and trend tracking.
 //!
 //! ```sh
@@ -52,9 +52,9 @@ struct RunStats {
     strategy: &'static str,
 }
 
-/// One measured training run on thread ranks. `depth` only matters with
-/// `runtime`; `pipelined`/`runtime` select the executor as in `KfacConfig`.
-fn run(scale: &Scale, pipelined: bool, runtime: bool, depth: usize) -> RunStats {
+/// One measured training run on thread ranks: the serial executor, or with
+/// `runtime` the task runtime's lookahead split at window `depth`.
+fn run(scale: &Scale, runtime: bool, depth: usize) -> RunStats {
     let dataset = GaussianBlobs::generate(scale.samples, 32, 4, 0.4, 130);
     let epochs = scale.epochs;
     let world = scale.world;
@@ -67,7 +67,7 @@ fn run(scale: &Scale, pipelined: bool, runtime: bool, depth: usize) -> RunStats 
             .grad_worker_frac(0.5)
             .factor_update_freq(5)
             .inv_update_freq(10)
-            .pipelined(pipelined)
+            .pipelined(runtime)
             // LOCAL-OPT keeps no global factors, so there is nothing to
             // shard; `validate()` rejects the combination.
             .sharded_factors(strategy != Some(DistStrategy::LocalOpt))
@@ -248,8 +248,7 @@ fn main() {
         if quick { "quick" } else { "full" }
     );
 
-    let serial = run(&scale, false, false, 1);
-    let pipelined = run(&scale, true, false, 1);
+    let serial = run(&scale, false, 1);
 
     // Depth sweep: the live runtime executor and the window cost model at
     // matching depths. Model dims mirror the fig7 acceptance configuration.
@@ -278,7 +277,7 @@ fn main() {
 
     let mut depth_entries = Vec::new();
     for &depth in &depths {
-        let stats = run(&scale, false, true, depth);
+        let stats = run(&scale, true, depth);
         let (wall_ms, kfac_ms) = ms_per_step(&stats);
         let amortized =
             modeled.iter().find(|(d, _)| *d == depth).map(|(_, s)| *s).unwrap_or(f64::NAN);
@@ -318,7 +317,6 @@ fn main() {
     );
 
     let (serial_wall, serial_kfac) = ms_per_step(&serial);
-    let (pipelined_wall, pipelined_kfac) = ms_per_step(&pipelined);
     let json = format!(
         concat!(
             "{{\n",
@@ -331,8 +329,7 @@ fn main() {
             "  \"gemm_kernel\": \"{}\",\n",
             "  \"syrk\": \"{}\",\n",
             "  \"executors\": {{\n",
-            "    \"serial\": {{\"strategy\": \"{}\", \"comm_backend\": \"{}\", \"gemm_kernel\": \"{}\", \"syrk\": \"{}\", \"wall_ms_per_step\": {:.6}, \"kfac_ms_per_step\": {:.6}, \"peak_memory_bytes\": {}}},\n",
-            "    \"pipelined\": {{\"strategy\": \"{}\", \"comm_backend\": \"{}\", \"gemm_kernel\": \"{}\", \"syrk\": \"{}\", \"wall_ms_per_step\": {:.6}, \"kfac_ms_per_step\": {:.6}, \"peak_memory_bytes\": {}}}\n",
+            "    \"serial\": {{\"strategy\": \"{}\", \"comm_backend\": \"{}\", \"gemm_kernel\": \"{}\", \"syrk\": \"{}\", \"wall_ms_per_step\": {:.6}, \"kfac_ms_per_step\": {:.6}, \"peak_memory_bytes\": {}}}\n",
             "  }},\n",
             "  \"curvature_freshness\": {{\n",
             "    \"epochs\": {},\n",
@@ -356,13 +353,6 @@ fn main() {
         serial_wall,
         serial_kfac,
         serial.peak_memory_bytes,
-        json_escape(pipelined.strategy),
-        scale.comm_backend,
-        gemm_kernel,
-        syrk,
-        pipelined_wall,
-        pipelined_kfac,
-        pipelined.peak_memory_bytes,
         scale.epochs,
         comm_steps,
         local_loss,

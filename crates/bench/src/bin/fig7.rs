@@ -1,7 +1,7 @@
 //! Figure 7: per-stage time inside `KFAC.step()` across `grad_worker_frac`
 //! — simulated for ResNet-50 on 64 V100s, and measured live from the
 //! preconditioner's stage timers on 8 thread ranks, comparing the serial
-//! executor against the pipelined (compute/comm-overlap) executor.
+//! executor against the task runtime (compute/comm-overlap) executor.
 //!
 //! ```sh
 //! cargo run --release -p kaisa-bench --bin fig7
@@ -13,8 +13,8 @@ use kaisa_comm::{
 };
 use kaisa_core::{
     auto_strategy, modeled_cross_iter_makespans, modeled_depth_makespans,
-    modeled_strategy_makespans, plan_assignments, priority_sweep_order, AssignmentStrategy,
-    ComputeRates, FactorReduction, Kfac, KfacConfig, StepModel, StepModelOptions, KFAC_STAGES,
+    modeled_strategy_makespans, plan_assignments, AssignmentStrategy, ComputeRates,
+    FactorReduction, Kfac, KfacConfig, StepModel, StepModelOptions, KFAC_STAGES,
 };
 use kaisa_data::{Dataset, GaussianBlobs, ShardSampler};
 use kaisa_nn::models::Mlp;
@@ -61,18 +61,14 @@ struct LiveRun {
     meter: MeterSnapshot,
 }
 
-fn run_live(world: usize, frac: f64, pipelined: bool, sharded: bool, runtime: bool) -> LiveRun {
-    run_live_depth(world, frac, pipelined, sharded, runtime, 1)
+/// One live run: the serial executor, or with `runtime` the task runtime
+/// (at window `depth`, which needs the caller-driven `async_runtime` split
+/// beyond 1).
+fn run_live(world: usize, frac: f64, runtime: bool, sharded: bool) -> LiveRun {
+    run_live_depth(world, frac, runtime, sharded, 1)
 }
 
-fn run_live_depth(
-    world: usize,
-    frac: f64,
-    pipelined: bool,
-    sharded: bool,
-    runtime: bool,
-    depth: usize,
-) -> LiveRun {
+fn run_live_depth(world: usize, frac: f64, runtime: bool, sharded: bool, depth: usize) -> LiveRun {
     let dataset = GaussianBlobs::generate(512, 32, 4, 0.4, 130);
     let mut results = ThreadComm::run(world, |comm| {
         let mut model = Mlp::new(&[32, 64, 48, 4], &mut Rng::seed_from_u64(31));
@@ -80,9 +76,9 @@ fn run_live_depth(
             .grad_worker_frac(frac)
             .factor_update_freq(5)
             .inv_update_freq(10)
-            .pipelined(pipelined)
+            .pipelined(runtime)
             .sharded_factors(sharded)
-            .async_runtime(runtime)
+            .async_runtime(depth > 1)
             .cross_iter_depth(depth)
             .build();
         let mut kfac = Kfac::new(cfg, &mut model, comm);
@@ -117,28 +113,22 @@ fn live() {
     let fracs = [1.0 / 8.0, 0.5, 1.0];
     let mut stage_table: Vec<Vec<String>> =
         KFAC_STAGES.iter().map(|s| vec![s.to_string()]).collect();
-    let mut totals: Vec<Vec<String>> = vec![
-        vec!["serial".to_string()],
-        vec!["pipelined".to_string()],
-        vec!["runtime".to_string()],
-    ];
+    let mut totals: Vec<Vec<String>> =
+        vec![vec!["serial".to_string()], vec!["runtime".to_string()]];
     let mut sample: Option<LiveRun> = None;
     for &frac in &fracs {
-        let serial = run_live(world, frac, false, false, false);
-        let pipelined = run_live(world, frac, true, false, false);
-        let runtime = run_live(world, frac, false, false, true);
-        for (row, avg) in stage_table.iter_mut().zip(pipelined.averages) {
+        let serial = run_live(world, frac, false, false);
+        let runtime = run_live(world, frac, true, false);
+        for (row, avg) in stage_table.iter_mut().zip(runtime.averages) {
             row.push(format!("{:.3}", avg * 1e3));
         }
         totals[0].push(format!("{:.3}", serial.kfac_seconds / serial.steps.max(1) as f64 * 1e3));
-        totals[1]
-            .push(format!("{:.3}", pipelined.kfac_seconds / pipelined.steps.max(1) as f64 * 1e3));
-        totals[2].push(format!("{:.3}", runtime.kfac_seconds / runtime.steps.max(1) as f64 * 1e3));
+        totals[1].push(format!("{:.3}", runtime.kfac_seconds / runtime.steps.max(1) as f64 * 1e3));
         if (frac - 0.5).abs() < 1e-12 {
-            sample = Some(pipelined);
+            sample = Some(runtime);
         }
     }
-    let mut header: Vec<String> = vec!["stage (pipelined)".into()];
+    let mut header: Vec<String> = vec!["stage (runtime)".into()];
     header.extend(fracs.iter().map(|f| format!("frac {f:.3}")));
     let header_refs: Vec<&str> = header.iter().map(String::as_str).collect();
     println!("{}", render_table(&header_refs, &stage_table));
@@ -150,7 +140,7 @@ fn live() {
     println!("(thread-rank timers share host cores, so wall-clock overlap is bounded; the cost model below isolates the schedule effect)\n");
 
     if let Some(run) = sample {
-        println!("== Per-layer stage breakdown (frac 0.5, pipelined), ms per step ==\n");
+        println!("== Per-layer stage breakdown (frac 0.5, runtime), ms per step ==\n");
         println!("{}", run.layer_report);
         println!("== Metered K-FAC traffic by issuing stage (frac 0.5, world total) ==\n");
         let rows: Vec<Vec<String>> = CommTag::ALL
@@ -286,7 +276,7 @@ fn depth_sweep() {
     for &depth in &depths {
         let amortized =
             modeled.iter().find(|(d, _)| *d == depth).map(|(_, s)| *s).unwrap_or(f64::NAN);
-        let live = run_live_depth(world, 0.5, false, true, true, depth);
+        let live = run_live_depth(world, 0.5, true, true, depth);
         rows.push(vec![
             format!("{depth}"),
             format!("{:.3}", amortized * 1e3),
@@ -306,8 +296,8 @@ fn sharded() {
     // meter is shared across thread ranks).
     let mut rows = Vec::new();
     for world in [4usize, 8] {
-        let dense = run_live(world, 0.5, true, false, false);
-        let shard = run_live(world, 0.5, true, true, false);
+        let dense = run_live(world, 0.5, true, false);
+        let shard = run_live(world, 0.5, true, true);
         let dense_bytes = dense.meter.tag_bytes(CommTag::FactorComm);
         let shard_bytes = shard.meter.tag_bytes(CommTag::FactorReduce)
             + shard.meter.tag_bytes(CommTag::FactorGather);
@@ -324,8 +314,7 @@ fn sharded() {
         render_table(&["world", "dense factor B/step", "sharded factor B/step", "saved"], &rows)
     );
 
-    // Modeled pipelined makespans on the ResNetMini dims, with and without
-    // the priority-searched sweep order.
+    // Modeled issue-order makespans on the ResNetMini dims.
     let dims = resnet_mini_dims();
     let rates = ComputeRates::default();
     let mut rows = Vec::new();
@@ -339,29 +328,18 @@ fn sharded() {
             let dense_opts = StepModelOptions::dense(4, false);
             let shard_opts =
                 StepModelOptions { reduction: FactorReduction::ShardedReduceScatter, ..dense_opts };
-            let ms = |opts: StepModelOptions<'_>| {
+            let ms = |opts: StepModelOptions| {
                 StepModel::with_options(&dims, &plan, &cost, &rates, opts).pipelined_seconds() * 1e3
             };
-            let dense_order = priority_sweep_order(&dims, &plan, &cost, &rates, dense_opts);
-            let shard_order = priority_sweep_order(&dims, &plan, &cost, &rates, shard_opts);
             rows.push(vec![
                 format!("{world}"),
                 name.to_string(),
                 format!("{:.3}", ms(dense_opts)),
-                format!("{:.3}", ms(StepModelOptions { order: Some(&dense_order), ..dense_opts })),
                 format!("{:.3}", ms(shard_opts)),
-                format!("{:.3}", ms(StepModelOptions { order: Some(&shard_order), ..shard_opts })),
             ]);
         }
     }
-    println!(
-        "{}",
-        render_table(
-            &["world", "network", "dense ms", "dense+prio ms", "sharded ms", "sharded+prio ms"],
-            &rows
-        )
-    );
-    println!("(the priority columns use the makespan-searched sweep order; the search starts from the fixed order, so they never regress)\n");
+    println!("{}", render_table(&["world", "network", "dense ms", "sharded ms"], &rows));
 }
 
 fn main() {

@@ -35,6 +35,7 @@
 pub mod affinity;
 mod cost_model;
 mod group;
+mod idle;
 mod local;
 mod meter;
 mod pool;
@@ -43,6 +44,7 @@ pub mod spsc;
 mod thread_comm;
 
 pub use cost_model::{ClusterNetwork, CollectiveAlgorithm, CollectiveCostModel};
+pub use idle::IdleGauge;
 pub use local::LocalComm;
 pub use meter::{CommEvent, CommOp, CommTag, Meter, MeterSnapshot};
 pub use pool::RankPool;
@@ -404,6 +406,14 @@ pub trait Communicator: Send + Sync {
 
     /// Snapshot of this communicator's traffic meter.
     fn meter_snapshot(&self) -> MeterSnapshot;
+
+    /// This rank's handle on the world-shared idle count, which stall
+    /// watchdogs consult so that only a world in which *every* rank sits
+    /// idle counts as stalled (see [`IdleGauge`]). The default is a world
+    /// of one, which is right for single-rank backends.
+    fn idle_gauge(&self) -> IdleGauge {
+        IdleGauge::solo()
+    }
 
     /// Simulated communication seconds accumulated by the cost model.
     fn simulated_seconds(&self) -> f64 {

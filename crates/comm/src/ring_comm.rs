@@ -314,12 +314,19 @@ impl RingHandle {
     }
 
     /// Centralized sense-reversing barrier: one `fetch_add` per rank, the
-    /// last arriver flips the group generation and rings the doorbell.
-    /// Returns whether this rank was the last arriver (the caller meters
-    /// the collective exactly once on that rank). Waiting drains rings, so
-    /// peers mid-push on unrelated collectives never stall against a rank
-    /// sitting in a barrier.
-    pub(crate) fn barrier(&mut self, shared: &RingShared, gid: GroupId, p: usize) -> bool {
+    /// last arriver runs `on_last` (the caller meters the collective there,
+    /// exactly once), then flips the group generation and rings the
+    /// doorbell. Running `on_last` before the flip is what makes the
+    /// barrier's own meter record visible to every rank it releases.
+    /// Waiting drains rings, so peers mid-push on unrelated collectives
+    /// never stall against a rank sitting in a barrier.
+    pub(crate) fn barrier(
+        &mut self,
+        shared: &RingShared,
+        gid: GroupId,
+        p: usize,
+        on_last: impl FnOnce(),
+    ) {
         let state = match self.barrier_cache.get(&gid) {
             Some(s) => Arc::clone(s),
             None => {
@@ -334,12 +341,11 @@ impl RingHandle {
             // group's next barrier only after they observe the flip
             // (Acquire), which orders the reset before their increments.
             state.arrived.0.store(0, Ordering::Relaxed);
+            on_last();
             state.generation.0.store(gen.wrapping_add(1), Ordering::Release);
             shared.wake();
-            true
         } else {
             self.wait_until(shared, |_| state.generation.0.load(Ordering::Acquire) != gen);
-            false
         }
     }
 

@@ -12,6 +12,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Condvar, Mutex};
 
 use crate::group::{GroupId, GroupTable, HandleGroups};
+use crate::idle::IdleGauge;
 use crate::meter::{CommEvent, CommOp, CommTag, Meter, MeterSnapshot};
 use crate::ring_comm::{self, OpKind, RingHandle, RingShared, Role};
 use crate::{CommOptions, Communicator, PendingCollective, ReduceOp, ShardSpec, ThreadCommBackend};
@@ -116,6 +117,8 @@ pub struct ThreadComm {
     rank: usize,
     core: Arc<CommCore>,
     state: Mutex<HandleState>,
+    /// This rank's handle on the world-shared idle count.
+    idle: IdleGauge,
 }
 
 impl ThreadComm {
@@ -152,8 +155,9 @@ impl ThreadComm {
         };
         meshes
             .into_iter()
+            .zip(IdleGauge::world(n))
             .enumerate()
-            .map(|(rank, mesh)| ThreadComm {
+            .map(|(rank, (mesh, idle))| ThreadComm {
                 rank,
                 core: Arc::clone(&core),
                 state: Mutex::new(HandleState {
@@ -161,6 +165,7 @@ impl ThreadComm {
                     ring: mesh,
                     world_group: (0..n).collect(),
                 }),
+                idle,
             })
             .collect()
     }
@@ -201,6 +206,11 @@ impl ThreadComm {
                 .iter()
                 .map(|comm| {
                     scope.spawn(move || {
+                        // A rank that returns (or unwinds) has left the
+                        // world for good: it counts as idle from then on,
+                        // so peers parked on it can tell a stall apart
+                        // from a slow rank.
+                        let _departed = Departed(&comm.idle);
                         if pin {
                             let _ = crate::affinity::pin_current_thread(comm.rank() % cores);
                         }
@@ -215,6 +225,16 @@ impl ThreadComm {
     /// The engine this world runs on.
     pub fn backend(&self) -> ThreadCommBackend {
         self.core.backend
+    }
+}
+
+/// Marks a rank idle when its thread leaves the world (see
+/// [`ThreadComm::run_with`]).
+struct Departed<'a>(&'a IdleGauge);
+
+impl Drop for Departed<'_> {
+    fn drop(&mut self) {
+        self.0.set_idle(true);
     }
 }
 
@@ -699,16 +719,18 @@ impl Communicator for ThreadComm {
         if let Some(shared) = &self.core.ring {
             let ring = ring.as_mut().expect("ring backend carries a ring handle");
             // Sense-reversing atomic barrier — no messages; the last arriver
-            // meters the collective once (the mutex backend's convention).
-            if ring.barrier(shared, gid, p) {
+            // meters the collective once (the mutex backend's convention),
+            // *before* releasing its peers, so a peer that snapshots the
+            // meter right after the barrier always sees the barrier.
+            ring.barrier(shared, gid, p, || {
                 self.core.meter.record(CommEvent {
                     op: CommOp::Barrier,
                     bytes: 0,
                     group_size: p,
                     seconds: self.core.cost.barrier(p),
                     tag: CommTag::Untagged,
-                });
-            }
+                })
+            });
             return;
         }
 
@@ -746,6 +768,10 @@ impl Communicator for ThreadComm {
 
     fn meter_snapshot(&self) -> MeterSnapshot {
         self.core.meter.snapshot()
+    }
+
+    fn idle_gauge(&self) -> IdleGauge {
+        self.idle.clone()
     }
 }
 
@@ -900,6 +926,37 @@ mod tests {
                 // After the barrier, every rank's increment must be visible.
                 assert_eq!(counter.load(Ordering::SeqCst), 8);
             });
+        }
+    }
+
+    #[test]
+    fn ring_barrier_is_metered_before_peers_are_released() {
+        // Every rank that returns from its k-th barrier must already see k
+        // barriers in the world-shared meter: the last arriver records the
+        // barrier before it releases anyone. Recording after the release
+        // lets a fast peer snapshot the meter first, which shows up here
+        // within a few thousand iterations.
+        // Ranks note the first miss and keep going, so a miss fails the
+        // test instead of leaving peers stuck in the next barrier.
+        const ROUNDS: u64 = 5000;
+        for world in [2usize, 3, 8] {
+            let opts = CommOptions { backend: ThreadCommBackend::Ring, ..CommOptions::default() };
+            let misses = ThreadComm::run_with(world, opts, |comm| {
+                let mut first_miss = None;
+                for k in 1..=ROUNDS {
+                    comm.barrier();
+                    let seen = comm.meter_snapshot().calls(CommOp::Barrier);
+                    if seen < k && first_miss.is_none() {
+                        first_miss = Some((k, seen));
+                    }
+                }
+                first_miss
+            });
+            for (rank, miss) in misses.iter().enumerate() {
+                if let Some((k, seen)) = miss {
+                    panic!("world {world} rank {rank}: barrier {k} returned, meter shows {seen}");
+                }
+            }
         }
     }
 

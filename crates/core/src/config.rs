@@ -75,12 +75,14 @@ pub struct KfacConfig {
     /// corrected second moments updated every step — the extension the
     /// paper's Related Work proposes layering on this framework.
     pub ekfac: bool,
-    /// Execute `step()` through the per-layer stage pipeline: collectives
-    /// are initiated with non-blocking handles and completed after other
-    /// layers' local compute, overlapping communication with computation.
-    /// The serial executor (`false`) runs each layer's stages strictly in
-    /// order; both paths are bitwise-identical (property-tested), so this
-    /// only trades wall-clock for simplicity when debugging.
+    /// Execute `step()` on the per-rank task runtime (`crate::runtime`):
+    /// stage work becomes polled task units over non-blocking collectives,
+    /// and a task whose collective is still in flight *parks*, yielding the
+    /// rank to any runnable task — overlapping communication with
+    /// computation. With this and `async_runtime` both off, the serial
+    /// reference executor runs each layer's stages strictly in order; both
+    /// paths are bitwise-identical (property-tested), so this only trades
+    /// wall-clock for simplicity when debugging.
     pub pipelined: bool,
     /// Replace the per-layer factor allreduce with a sharded reduction
     /// (DP-KFAC, Zhang et al.): reduce-scatter the packed factor payload so
@@ -91,29 +93,19 @@ pub struct KfacConfig {
     /// identical to the dense path (property-tested); the dense path remains
     /// the reference implementation.
     pub sharded_factors: bool,
-    /// Iterate pipelined executor sweeps in the issue order found by the
-    /// `StepModel` makespan search (shortest critical chains first, refined
-    /// by pairwise-swap descent; never modeled worse than fixed order)
-    /// instead of fixed layer order. Changes only the *issue order* of
-    /// tasks and collectives — every collective keeps its group and
-    /// payload, so numerics are bitwise unchanged. No effect on the serial
-    /// executor.
-    pub priority_schedule: bool,
-    /// Execute `step()` on the per-rank cooperative task runtime
-    /// (`crate::runtime`): stage work becomes polled task units on a
-    /// ready-queue scheduler, and a task whose collective is still in flight
-    /// *parks* — yielding the rank to any runnable task instead of blocking
-    /// inside `complete`. Collective begin order is pinned per group by
-    /// plan-time gates, so the runtime is bitwise identical to the serial
-    /// and sweep-pipelined executors (property-tested). Takes precedence
-    /// over `pipelined` when both are set.
+    /// Let the caller drive the task runtime's lookahead split itself:
+    /// `Kfac::step_begin` launches the factor collectives (before the
+    /// data-parallel gradient allreduce) and `Kfac::step_finish` runs the
+    /// rest, so the factor reductions overlap the allreduce across the
+    /// iteration boundary. Required for `step_begin` and for
+    /// `cross_iter_depth` beyond 1. `Kfac::step` runs the task runtime
+    /// whenever this or `pipelined` is set.
     pub async_runtime: bool,
-    /// α–β parameters of the network the job actually runs on, used to score
-    /// the `priority_schedule` makespan search and the runtime scheduler's
-    /// dispatch priorities. `None` falls back to the 10 GbE reference model.
-    /// Part of the config (identical on every rank) so all ranks derive the
-    /// same issue order — a per-rank measurement would break collective
-    /// matching.
+    /// α–β parameters of the network the job actually runs on, used by the
+    /// `cross_iter_depth_auto` depth search. `None` falls back to the 10 GbE
+    /// reference model. Part of the config (identical on every rank) so all
+    /// ranks resolve the same depth — a per-rank measurement would break
+    /// collective matching.
     pub network: Option<ClusterNetwork>,
     /// Depth of the task runtime's cross-iteration scheduling window
     /// (requires `async_runtime` when not `Fixed(1)`). At depth D the
@@ -125,10 +117,12 @@ pub struct KfacConfig {
     /// in-step and depth is effectively 1. Depths are bitwise identical to
     /// the serial executor (property-tested).
     pub cross_iter_depth: CrossIterDepth,
-    /// Milliseconds a runtime rank may sit with no runnable task and no
-    /// collective progress before the stall watchdog dumps a per-rank
-    /// task-state diagnostic and panics (instead of hanging the process on
-    /// a mismatched collective).
+    /// Milliseconds every rank of the world may sit idle in a runtime
+    /// scheduler (no runnable task, no collective progress) before the
+    /// stall watchdog dumps a per-rank task-state diagnostic and panics
+    /// (instead of hanging the process on a mismatched collective). A rank
+    /// that is still computing, or has not yet entered its step, keeps the
+    /// timer reset, so a slow peer never trips it.
     pub runtime_stall_timeout_ms: u64,
     /// Worker cap for the batched factor-eigensolve queue at decomposition
     /// sites. `0` (default) defers to `KAISA_EIG_BATCH` and then one worker
@@ -176,7 +170,6 @@ impl Default for KfacConfig {
             ekfac: false,
             pipelined: true,
             sharded_factors: false,
-            priority_schedule: false,
             async_runtime: false,
             network: None,
             cross_iter_depth: CrossIterDepth::Fixed(1),
@@ -312,7 +305,7 @@ impl KfacConfigBuilder {
         self
     }
 
-    /// Toggle the stage-pipelined executor (non-blocking collectives with
+    /// Toggle the task-runtime executor (non-blocking collectives with
     /// compute/communication overlap) vs. the serial reference executor.
     pub fn pipelined(mut self, on: bool) -> Self {
         self.cfg.pipelined = on;
@@ -326,23 +319,16 @@ impl KfacConfigBuilder {
         self
     }
 
-    /// Toggle critical-path priority ordering of the pipelined executor's
-    /// sweeps vs. fixed layer order.
-    pub fn priority_schedule(mut self, on: bool) -> Self {
-        self.cfg.priority_schedule = on;
-        self
-    }
-
-    /// Toggle the cooperative task runtime executor (parked collectives
-    /// yield the rank to runnable tasks) vs. sweep pipelining / serial.
+    /// Toggle the caller-driven `step_begin`/`step_finish` lookahead split
+    /// of the task runtime (required for depths beyond 1).
     pub fn async_runtime(mut self, on: bool) -> Self {
         self.cfg.async_runtime = on;
         self
     }
 
     /// Supply the α–β network parameters of the actual backend for the
-    /// priority search and runtime scheduler (must be identical on every
-    /// rank; defaults to the 10 GbE reference when unset).
+    /// `cross_iter_depth_auto` search (must be identical on every rank;
+    /// defaults to the 10 GbE reference when unset).
     pub fn network(mut self, network: ClusterNetwork) -> Self {
         self.cfg.network = Some(network);
         self

@@ -54,9 +54,7 @@ pub use assignment::{
 pub use checkpoint::{KfacCheckpoint, LayerCheckpoint};
 pub use config::{CrossIterDepth, KfacConfig, KfacConfigBuilder};
 pub use memory::{MemoryBudget, MemoryCategory, MemoryMeter};
-pub use pipeline::{
-    priority_sweep_order, ComputeRates, PipelineStage, StepModel, StepModelOptions, TaskGraph,
-};
+pub use pipeline::{ComputeRates, PipelineStage, StepModel, StepModelOptions, TaskGraph};
 pub use preconditioner::Kfac;
 pub use runtime::{
     auto_cross_iter_depth, modeled_cross_iter_makespans, modeled_depth_makespans, CrossIterModel,

@@ -1,4 +1,4 @@
-//! The per-layer stage pipeline behind [`crate::Kfac::step`].
+//! The stage vocabulary and analytic cost model behind [`crate::Kfac::step`].
 //!
 //! The serial K-FAC step walks every layer through its stages in strict
 //! order, blocking at each collective. But the stages of *different layers*
@@ -11,27 +11,22 @@
 //!   its dependency on the previous stage, its timing bucket, and the
 //!   [`kaisa_comm::CommTag`] its traffic is attributed to.
 //! - [`task`] — the task-graph cost model: `(layer x stage)` nodes with
-//!   declared dependencies and α–β durations, schedulable either serialized
-//!   (the serial executor) or list-scheduled over per-rank compute plus a
-//!   shared network (the pipelined executor). This is the analytic form of
-//!   the overlap claim, testable without wall clocks.
-//! - [`executor`] — the live pipelined executor: layer sweeps that *begin*
-//!   every collective of a phase (non-blocking
-//!   [`kaisa_comm::Communicator::begin_allreduce`] /
-//!   [`kaisa_comm::Communicator::begin_broadcast`] handles), run the local
-//!   compute of later layers, and *complete* the handles only when their
-//!   results are consumed.
+//!   declared dependencies and α–β durations, schedulable serialized (the
+//!   serial executor), list-scheduled in issue order, or greedily from a
+//!   ready queue (the task runtime) over per-rank compute plus a shared
+//!   network. This is the analytic form of the overlap claim, testable
+//!   without wall clocks.
 //!
-//! Both executors share the same stage kernels (`crate::state`) and issue
-//! bit-identical collectives in the same per-group order, so their outputs
-//! are bitwise equal — `tests/pipeline_equivalence.rs` property-tests this
-//! across strategies, world sizes, precisions, and comm layouts.
+//! The live overlap lives in [`crate::runtime`]: the task runtime runs
+//! every `(layer x stage)` unit as a polled task over non-blocking
+//! collectives. It and the serial executor share the same stage kernels
+//! (`crate::state`) and issue bit-identical collectives in the same
+//! per-group order, so their outputs are bitwise equal —
+//! `tests/pipeline_equivalence.rs` property-tests this across strategies,
+//! world sizes, precisions, and comm layouts.
 
-pub mod executor;
 pub mod stage;
 pub mod task;
 
 pub use stage::PipelineStage;
-pub use task::{
-    priority_sweep_order, ComputeRates, Resource, StepModel, StepModelOptions, Task, TaskGraph,
-};
+pub use task::{ComputeRates, Resource, StepModel, StepModelOptions, Task, TaskGraph};

@@ -3,7 +3,7 @@
 //! One `(layer x stage)` pair is the pipeline's unit of work. Stages within
 //! a layer form a linear dependency chain; across layers they are
 //! independent except for sharing rank compute and the network — which is
-//! exactly the freedom the pipelined executor exploits.
+//! exactly the freedom the task runtime exploits.
 
 use kaisa_comm::CommTag;
 
@@ -79,7 +79,7 @@ impl PipelineStage {
     }
 
     /// True for the communication stages (scheduled on the network resource;
-    /// initiated with a non-blocking handle by the pipelined executor).
+    /// initiated with a non-blocking handle by the task runtime).
     pub fn is_comm(self) -> bool {
         matches!(
             self,

@@ -14,17 +14,20 @@
 //! - [`StepModel::serial_seconds`] — the serial executor's lock-step walk:
 //!   every layer completes a stage (compute **plus** its collective) before
 //!   the next layer starts it.
-//! - [`StepModel::pipelined_seconds`] — list scheduling in the pipelined
-//!   executor's issue order: compute serializes per rank, collectives
-//!   serialize on the network, but compute and communication of different
-//!   layers overlap freely subject to dependencies.
+//! - [`StepModel::pipelined_seconds`] — list scheduling in issue order
+//!   (phases in order, layers `0..n` within a phase): compute serializes
+//!   per rank, collectives serialize on the network, but compute and
+//!   communication of different layers overlap freely subject to
+//!   dependencies.
+//! - [`StepModel::runtime_seconds`] — greedy ready-queue dispatch, the
+//!   task runtime's freedom to run whatever is ready.
 
 use kaisa_comm::CollectiveCostModel;
 
 use crate::assignment::WorkPlan;
 use crate::pipeline::stage::PipelineStage;
 use crate::state::factor_payload_len;
-use crate::strategy::{FactorReduction, StrategyPlan};
+use crate::strategy::FactorReduction;
 
 /// What a task occupies while it runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -180,7 +183,7 @@ impl Default for ComputeRates {
 
 /// Options for [`StepModel::with_options`] beyond the dense defaults.
 #[derive(Debug, Clone, Copy)]
-pub struct StepModelOptions<'a> {
+pub struct StepModelOptions {
     /// Factor element width in bytes (2 for fp16 factors).
     pub elem_bytes: usize,
     /// Triangular factor packing (Section 4.3).
@@ -195,33 +198,16 @@ pub struct StepModelOptions<'a> {
     /// direct-inverse fallback, whose solver consumes both factors on one
     /// rank.
     pub gather: bool,
-    /// Issue layers within each phase in this order instead of `0..n`
-    /// (the pipelined executor's priority schedule). Must be a permutation.
-    pub order: Option<&'a [usize]>,
 }
 
-impl StepModelOptions<'_> {
-    /// Dense-path options: world allreduce, fixed layer order.
+impl StepModelOptions {
+    /// Dense-path options: world allreduce.
     pub fn dense(elem_bytes: usize, triangular: bool) -> Self {
         StepModelOptions {
             elem_bytes,
             triangular,
             reduction: FactorReduction::DenseAllreduce,
             gather: false,
-            order: None,
-        }
-    }
-
-    /// The options a resolved [`StrategyPlan`] implies — the one mapping
-    /// from the strategy layer into the α–β step model, shared by the
-    /// priority scheduler and the cost sweeps.
-    pub fn from_plan(elem_bytes: usize, triangular: bool, plan: &StrategyPlan) -> Self {
-        StepModelOptions {
-            elem_bytes,
-            triangular,
-            reduction: plan.reduction,
-            gather: plan.regather_split_layers,
-            order: None,
         }
     }
 }
@@ -233,7 +219,6 @@ pub struct StepModel {
     graph: TaskGraph,
     serial: f64,
     world: usize,
-    chain: Vec<f64>,
 }
 
 impl StepModel {
@@ -259,17 +244,16 @@ impl StepModel {
     }
 
     /// Build the model with explicit [`StepModelOptions`] — the sharded
-    /// factor path, the inverse-fallback regather, and/or a priority issue
-    /// order.
+    /// factor path and/or the inverse-fallback regather.
     pub fn with_options(
         dims: &[(usize, usize)],
         plan: &WorkPlan,
         cost: &CollectiveCostModel,
         rates: &ComputeRates,
-        opts: StepModelOptions<'_>,
+        opts: StepModelOptions,
     ) -> Self {
         assert_eq!(dims.len(), plan.layers.len(), "plan must cover every layer");
-        let StepModelOptions { elem_bytes, triangular, reduction, gather, order } = opts;
+        let StepModelOptions { elem_bytes, triangular, reduction, gather } = opts;
         let sharded = reduction == FactorReduction::ShardedReduceScatter;
         let local = reduction == FactorReduction::LocalNone;
         let world = plan.world;
@@ -277,19 +261,6 @@ impl StepModel {
         let mut serial = 0.0f64;
 
         let n = dims.len();
-        let order: Vec<usize> = match order {
-            Some(o) => {
-                let mut sorted = o.to_vec();
-                sorted.sort_unstable();
-                assert!(
-                    sorted.iter().copied().eq(0..n),
-                    "issue order must be a permutation of 0..{n}"
-                );
-                o.to_vec()
-            }
-            None => (0..n).collect(),
-        };
-        let mut chain = vec![0.0f64; n];
         let fa_fin: Vec<f64> =
             dims.iter().map(|&(a, g)| 2.0 * (a * a + g * g) as f64 / rates.gemm_flops).collect();
         let fa_fold = fa_fin.clone(); // axpby over both factors: same element count
@@ -337,7 +308,7 @@ impl StepModel {
         let mut g_factor_ready = vec![0usize; n]; // task feeding eig_g on the G worker
         let mut fin_ids = vec![Vec::new(); n];
         let mut comm_ids = vec![0usize; n];
-        for &i in &order {
+        for i in 0..n {
             if local {
                 let id = graph.push(Task {
                     layer: i,
@@ -348,7 +319,6 @@ impl StepModel {
                 });
                 fin_ids[i].push(id);
                 comm_ids[i] = id; // the fold depends directly on the finalize
-                chain[i] += fa_fin[i];
                 continue;
             }
             for r in 0..world {
@@ -373,9 +343,8 @@ impl StepModel {
                 duration,
                 deps: fin_ids[i].clone(),
             });
-            chain[i] += fa_fin[i] + duration;
         }
-        for &i in &order {
+        for i in 0..n {
             let asn = &plan.layers[i];
             let mut fold_dep = comm_ids[i];
             if local {
@@ -388,7 +357,6 @@ impl StepModel {
                 });
                 a_factor_ready[i] = id;
                 g_factor_ready[i] = id;
-                chain[i] += fa_fold[i];
                 serial += fa_fin[i] + fa_fold[i];
                 continue;
             }
@@ -400,7 +368,6 @@ impl StepModel {
                     duration: ga[i],
                     deps: vec![comm_ids[i]],
                 });
-                chain[i] += ga[i];
             }
             if sharded {
                 let a_id = graph.push(Task {
@@ -419,11 +386,6 @@ impl StepModel {
                 });
                 a_factor_ready[i] = a_id;
                 g_factor_ready[i] = g_id;
-                chain[i] += if asn.a_worker == asn.g_worker {
-                    fold_a[i] + fold_g[i]
-                } else {
-                    fold_a[i].max(fold_g[i])
-                };
                 serial += fa_fin[i] + rs[i] + ga[i];
                 serial += if asn.a_worker == asn.g_worker {
                     fold_a[i] + fold_g[i]
@@ -443,14 +405,13 @@ impl StepModel {
                 }
                 a_factor_ready[i] = fold_ids[asn.a_worker];
                 g_factor_ready[i] = fold_ids[asn.g_worker];
-                chain[i] += fa_fold[i];
                 serial += fa_fin[i] + ar[i] + fa_fold[i];
             }
         }
 
         // -------- Eigendecomposition phase --------
         let mut eig_done = vec![0usize; n]; // last task whose output feeds preconditioning
-        for &i in &order {
+        for i in 0..n {
             let asn = &plan.layers[i];
             let a_id = graph.push(Task {
                 layer: i,
@@ -513,12 +474,11 @@ impl StepModel {
                 eig_a[i].max(eig_g[i])
             };
             serial += eig_cost + pair_cost + outer[i] + bcast_cost;
-            chain[i] += eig_cost + pair_cost + outer[i] + bcast_cost;
         }
 
         // -------- Precondition + gradient broadcast phase --------
         let mut gb_or_p = Vec::new();
-        for &i in &order {
+        for i in 0..n {
             let asn = &plan.layers[i];
             let mut p_ids = Vec::new();
             for &r in &asn.gradient_workers {
@@ -545,7 +505,6 @@ impl StepModel {
                 gb_or_p.extend(p_ids);
             }
             serial += prec[i] + gb_cost;
-            chain[i] += prec[i] + gb_cost;
         }
 
         // -------- Scale --------
@@ -565,7 +524,7 @@ impl StepModel {
         // scale remains.
         serial += scale_total;
 
-        StepModel { graph, serial, world, chain }
+        StepModel { graph, serial, world }
     }
 
     /// The underlying task graph.
@@ -578,7 +537,8 @@ impl StepModel {
         self.serial
     }
 
-    /// Modeled seconds for the pipelined executor (list-scheduled overlap).
+    /// Modeled seconds for the issue-order list schedule (overlap without
+    /// reordering).
     pub fn pipelined_seconds(&self) -> f64 {
         self.graph.list_schedule_makespan(self.world)
     }
@@ -593,95 +553,10 @@ impl StepModel {
     /// event-driven scheduling can suffer anomalies on adversarial graphs,
     /// but the live runtime is free to fall back to pure issue order (its
     /// gates pin exactly that order per group), so its makespan never
-    /// exceeds the pipelined executor's.
+    /// exceeds the issue-order schedule's.
     pub fn runtime_seconds(&self) -> f64 {
         self.graph.ready_schedule_makespan(self.world).min(self.pipelined_seconds())
     }
-
-    /// Per-layer critical-chain duration: the sum of one layer's stage
-    /// durations from statistics finalize through its gradient broadcast.
-    /// This is the list-scheduling priority key for [`Self::priority_order`].
-    pub fn layer_priorities(&self) -> &[f64] {
-        &self.chain
-    }
-
-    /// Layer issue order by **ascending** critical-chain priority (ties
-    /// break toward the lower layer index). The executor's sweeps issue
-    /// collectives in this order and also *complete* them in this order, so
-    /// the schedule behaves like a permutation flow shop: a long-chain layer
-    /// issued first parks its unfinished collective at the head of the line
-    /// and stalls every later completion behind it. Issuing short chains
-    /// first drains them while the long eigensolves are still running —
-    /// Johnson's-rule flavor, and exhaustive permutation checks on the test
-    /// dims confirm shortest-chain-first is makespan-optimal for the dense
-    /// comm-bound configs. A pure function of the dims, plan, and cost
-    /// model, so every rank computes the same order — reordering collectives
-    /// identically preserves per-group matching.
-    pub fn priority_order(&self) -> Vec<usize> {
-        let mut idx: Vec<usize> = (0..self.chain.len()).collect();
-        idx.sort_by(|&a, &b| {
-            self.chain[a].partial_cmp(&self.chain[b]).expect("finite priorities").then(a.cmp(&b))
-        });
-        idx
-    }
-}
-
-/// Pick the pipelined sweep order for `dims` under `plan`: evaluate the
-/// modeled makespan of the fixed order, the [`StepModel::priority_order`]
-/// chain orders (ascending and descending), then refine the winner with a
-/// deterministic pairwise-swap descent that only accepts strict
-/// improvements. Starting from the fixed order guarantees the result never
-/// models worse than issuing layers in `0..n`. Every input is identical on
-/// every rank, the scan order is fixed, and the arithmetic is
-/// deterministic, so all ranks agree on the order — collective matching is
-/// preserved. `opts.order` is ignored.
-pub fn priority_sweep_order(
-    dims: &[(usize, usize)],
-    plan: &WorkPlan,
-    cost: &CollectiveCostModel,
-    rates: &ComputeRates,
-    opts: StepModelOptions<'_>,
-) -> Vec<usize> {
-    let n = dims.len();
-    let eval = |order: &[usize]| {
-        let opts = StepModelOptions { order: Some(order), ..opts };
-        StepModel::with_options(dims, plan, cost, rates, opts).pipelined_seconds()
-    };
-    let mut best: Vec<usize> = (0..n).collect();
-    let mut best_t = eval(&best);
-    let base =
-        StepModel::with_options(dims, plan, cost, rates, StepModelOptions { order: None, ..opts });
-    let ascending = base.priority_order();
-    let descending: Vec<usize> = ascending.iter().rev().copied().collect();
-    for cand in [ascending, descending] {
-        let t = eval(&cand);
-        if t < best_t {
-            best_t = t;
-            best = cand;
-        }
-    }
-    // First-improvement descent over all pairwise swaps; layer counts are
-    // small so the O(n^2) evaluations per pass are cheap, and construction
-    // runs once per Kfac instance.
-    loop {
-        let mut improved = false;
-        for a in 0..n {
-            for b in a + 1..n {
-                let mut cand = best.clone();
-                cand.swap(a, b);
-                let t = eval(&cand);
-                if t < best_t {
-                    best_t = t;
-                    best = cand;
-                    improved = true;
-                }
-            }
-        }
-        if !improved {
-            break;
-        }
-    }
-    best
 }
 
 #[cfg(test)]
@@ -747,13 +622,12 @@ mod tests {
         assert!(m.graph().critical_path() <= m.pipelined_seconds() + 1e-15);
     }
 
-    fn sharded_opts(order: Option<&[usize]>) -> StepModelOptions<'_> {
+    fn sharded_opts() -> StepModelOptions {
         StepModelOptions {
             elem_bytes: 4,
             triangular: false,
             reduction: FactorReduction::ShardedReduceScatter,
             gather: false,
-            order,
         }
     }
 
@@ -764,7 +638,7 @@ mod tests {
         let cost = CollectiveCostModel::new(ClusterNetwork::ethernet_10g());
         let rates = ComputeRates::default();
         let dense = StepModel::new(&d, &plan, &cost, &rates, 4, false);
-        let sharded = StepModel::with_options(&d, &plan, &cost, &rates, sharded_opts(None));
+        let sharded = StepModel::with_options(&d, &plan, &cost, &rates, sharded_opts());
         assert_eq!(sharded.graph().stage_total(PipelineStage::FactorAllreduce), 0.0);
         assert_eq!(dense.graph().stage_total(PipelineStage::FactorReduce), 0.0);
         let rs = sharded.graph().stage_total(PipelineStage::FactorReduce);
@@ -815,8 +689,8 @@ mod tests {
         let plan = plan_assignments(&d, 4, 0.5, AssignmentStrategy::ComputeLpt);
         let cost = CollectiveCostModel::new(ClusterNetwork::ethernet_10g());
         let rates = ComputeRates::default();
-        let no_gather = StepModel::with_options(&d, &plan, &cost, &rates, sharded_opts(None));
-        let mut with_gather = sharded_opts(None);
+        let no_gather = StepModel::with_options(&d, &plan, &cost, &rates, sharded_opts());
+        let mut with_gather = sharded_opts();
         with_gather.gather = true;
         let with_gather = StepModel::with_options(&d, &plan, &cost, &rates, with_gather);
         assert_eq!(no_gather.graph().stage_total(PipelineStage::FactorGather), 0.0);
@@ -831,102 +705,7 @@ mod tests {
     }
 
     #[test]
-    fn priority_order_is_a_permutation_sorted_by_chain() {
-        let m = model(8, 0.5, ClusterNetwork::ethernet_10g());
-        let order = m.priority_order();
-        let mut sorted = order.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..dims().len()).collect::<Vec<_>>());
-        let pri = m.layer_priorities();
-        for w in order.windows(2) {
-            assert!(pri[w[0]] <= pri[w[1]], "priorities must be non-decreasing");
-        }
-    }
-
-    #[test]
-    fn priority_issue_order_improves_comm_bound_makespan() {
-        let d = dims();
-        let plan = plan_assignments(&d, 8, 0.5, AssignmentStrategy::ComputeLpt);
-        let cost = CollectiveCostModel::new(ClusterNetwork::ethernet_10g());
-        let rates = ComputeRates::default();
-        let opts = StepModelOptions::dense(4, false);
-        let fixed = StepModel::with_options(&d, &plan, &cost, &rates, opts);
-        let order = priority_sweep_order(&d, &plan, &cost, &rates, opts);
-        let prioritized = StepModel::with_options(
-            &d,
-            &plan,
-            &cost,
-            &rates,
-            StepModelOptions { order: Some(&order), ..opts },
-        );
-        // Same task multiset either way: identical serial walk.
-        assert!((prioritized.serial_seconds() - fixed.serial_seconds()).abs() < 1e-12);
-        assert!(
-            prioritized.pipelined_seconds() < fixed.pipelined_seconds(),
-            "priority order must strictly improve this comm-bound config: {} vs {}",
-            prioritized.pipelined_seconds(),
-            fixed.pipelined_seconds()
-        );
-    }
-
-    #[test]
-    fn priority_sweep_order_never_models_worse_than_fixed() {
-        let d = dims();
-        let cost = CollectiveCostModel::new(ClusterNetwork::ethernet_10g());
-        let rates = ComputeRates::default();
-        for world in [2, 4, 8] {
-            for frac in [1.0 / world as f64, 0.5, 1.0] {
-                let plan = plan_assignments(&d, world, frac, AssignmentStrategy::ComputeLpt);
-                for reduction in [
-                    FactorReduction::DenseAllreduce,
-                    FactorReduction::ShardedReduceScatter,
-                    FactorReduction::LocalNone,
-                ] {
-                    let opts = StepModelOptions {
-                        elem_bytes: 4,
-                        triangular: false,
-                        reduction,
-                        gather: false,
-                        order: None,
-                    };
-                    let fixed =
-                        StepModel::with_options(&d, &plan, &cost, &rates, opts).pipelined_seconds();
-                    let order = priority_sweep_order(&d, &plan, &cost, &rates, opts);
-                    let tuned = StepModel::with_options(
-                        &d,
-                        &plan,
-                        &cost,
-                        &rates,
-                        StepModelOptions { order: Some(&order), ..opts },
-                    )
-                    .pipelined_seconds();
-                    assert!(
-                        tuned <= fixed,
-                        "world={world} frac={frac} {reduction:?}: {tuned} > {fixed}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "permutation")]
-    fn non_permutation_issue_order_is_rejected() {
-        let d = dims();
-        let plan = plan_assignments(&d, 2, 1.0, AssignmentStrategy::ComputeLpt);
-        let cost = CollectiveCostModel::new(ClusterNetwork::ethernet_10g());
-        let bad = vec![0usize, 0, 1, 2, 3];
-        let _ = StepModel::with_options(
-            &d,
-            &plan,
-            &cost,
-            &ComputeRates::default(),
-            StepModelOptions { order: Some(&bad), ..StepModelOptions::dense(4, false) },
-        );
-    }
-
-    #[test]
-    fn runtime_never_exceeds_pipelined() {
+    fn runtime_never_exceeds_issue_order_schedule() {
         for world in [1, 2, 4, 8] {
             for frac in [1.0 / world as f64, 0.5, 1.0] {
                 for net in [ClusterNetwork::infiniband_edr(), ClusterNetwork::ethernet_10g()] {

@@ -17,7 +17,7 @@
 //! 4. **Scaling** (every step): KL-clip scaling `ν = min(1, √(κ/Σ⟨p,g⟩lr²))`
 //!    and write-back into the model's gradients.
 
-use kaisa_comm::{ClusterNetwork, CollectiveCostModel, CommTag, Communicator, ReduceOp, ShardSpec};
+use kaisa_comm::{ClusterNetwork, CommTag, Communicator, ReduceOp, ShardSpec};
 use kaisa_linalg::sym_eig_batch_timed;
 use kaisa_nn::Model;
 use kaisa_tensor::Matrix;
@@ -26,7 +26,6 @@ use crate::assignment::{plan_assignments_with, LayerAssignment, WorkPlan};
 use crate::config::CrossIterDepth;
 use crate::config::KfacConfig;
 use crate::memory::{MemoryCategory, MemoryMeter};
-use crate::pipeline::{priority_sweep_order, ComputeRates, StepModelOptions};
 use crate::state::{
     factor_payload_len, pack_factor_payload, pack_factor_payload_scaled_into, quantize_slice,
     unpack_factor_payload, KfacLayerState, StagingRing,
@@ -61,8 +60,8 @@ pub struct Kfac {
     pub(crate) plan: WorkPlan,
     /// The resolved strategy plan: which factor-reduction mode, regather
     /// policy, and per-stage comm participation this run uses. Computed
-    /// once here and consumed uniformly by all three executors and the
-    /// stage-graph builder — the single source of strategy truth.
+    /// once here and consumed uniformly by both executors — the single
+    /// source of strategy truth.
     pub(crate) strat: StrategyPlan,
     pub(crate) states: Vec<KfacLayerState>,
     pub(crate) rank: usize,
@@ -77,13 +76,8 @@ pub struct Kfac {
     /// `kaisa-comm` meter separately counts physical `f32` buffers per
     /// collective.
     pub(crate) comm_bytes: u64,
-    /// The order the pipelined executor's sweeps iterate layers: identity by
-    /// default; the `StepModel`-searched priority order when
-    /// `priority_schedule` is on. Identical on every rank (a pure function
-    /// of dims + plan), so reordering keeps per-group collective matching.
-    pub(crate) sweep_order: Vec<usize>,
     /// The in-progress task-runtime step between `step_begin` and
-    /// `step_finish` (`async_runtime` only).
+    /// `step_finish`.
     pub(crate) runtime_step: Option<crate::runtime::executor::RuntimeStep>,
     /// Retired runtime steps whose deferred factor completes are still
     /// draining — the depth-D cross-iteration window ring (front = oldest).
@@ -146,29 +140,6 @@ impl Kfac {
             .zip(&names)
             .map(|(&(a, g), name)| KfacLayerState::new(name.clone(), a, g))
             .collect();
-        let sweep_order: Vec<usize> = if cfg.priority_schedule {
-            // Search for the issue order with the best modeled makespan on
-            // the calibrated network (the 10 GbE comm-bound reference when
-            // none is configured), starting from the fixed order so the
-            // result never models worse than it. Only the *ordering*
-            // matters, and it is a pure function of dims + plan + config,
-            // so every rank agrees.
-            let network = cfg.network.unwrap_or_else(ClusterNetwork::ethernet_10g);
-            let cost = CollectiveCostModel::new(network);
-            priority_sweep_order(
-                &dims,
-                &plan,
-                &cost,
-                &ComputeRates::default(),
-                StepModelOptions::from_plan(
-                    cfg.precision.bytes_per_element(),
-                    cfg.triangular_comm,
-                    &strat,
-                ),
-            )
-        } else {
-            (0..dims.len()).collect()
-        };
         let n_layers = dims.len();
         let resolved_depth = match cfg.cross_iter_depth {
             CrossIterDepth::Fixed(d) => d,
@@ -196,7 +167,6 @@ impl Kfac {
             steps: 0,
             times: StageTimes::new(),
             comm_bytes: 0,
-            sweep_order,
             runtime_step: None,
             window: std::collections::VecDeque::new(),
             resolved_depth,
@@ -240,12 +210,6 @@ impl Kfac {
     /// Logical K-FAC communication bytes at the configured precision.
     pub fn comm_bytes(&self) -> u64 {
         self.comm_bytes
-    }
-
-    /// The layer order the pipelined executor's sweeps iterate (identity
-    /// unless `priority_schedule` is on).
-    pub fn sweep_order(&self) -> &[usize] {
-        &self.sweep_order
     }
 
     /// The resolved cross-iteration window depth this instance runs at
@@ -407,12 +371,15 @@ impl Kfac {
     /// pass (and after the data-parallel gradient allreduce) on every rank.
     /// `lr` is the learning rate the following optimizer step will use; it
     /// enters the KL-clip scaling factor.
+    ///
+    /// Runs on the task runtime (`crate::runtime`) unless both `pipelined`
+    /// and `async_runtime` are off, which selects the serial reference
+    /// executor. The two are bitwise identical.
     pub fn step<M: Model>(&mut self, model: &mut M, comm: &dyn Communicator, lr: f32) {
-        if self.cfg.async_runtime {
-            // Task-runtime executor (takes precedence over `pipelined`).
-            // The monolithic step is simply the lookahead split run
-            // back-to-back; `step_finish` advances the step counters.
-            self.step_begin(model, comm);
+        if self.cfg.pipelined || self.cfg.async_runtime {
+            // The monolithic step is the lookahead split run back to back;
+            // `step_finish` advances the step counters.
+            self.runtime_begin(model, comm);
             self.step_finish(model, comm, lr);
             return;
         }
@@ -423,35 +390,22 @@ impl Kfac {
         assert_eq!(layers.len(), self.states.len(), "layer set changed after registration");
         self.note_capture_residency(&layers);
 
-        // The one strategy dispatch: every executor consumes the resolved
+        // The one strategy dispatch: the executor consumes the resolved
         // `StrategyPlan`'s factor-reduction mode instead of re-deriving the
         // strategy from config flags.
         if factor_step {
-            match (self.strat.reduction, self.cfg.pipelined) {
-                (FactorReduction::LocalNone, _) => self.update_factors_local(&mut layers),
-                (FactorReduction::ShardedReduceScatter, true) => {
-                    self.update_factors_sharded_pipelined(&mut layers, comm)
-                }
-                (FactorReduction::ShardedReduceScatter, false) => {
+            match self.strat.reduction {
+                FactorReduction::LocalNone => self.update_factors_local(&mut layers),
+                FactorReduction::ShardedReduceScatter => {
                     self.update_factors_sharded(&mut layers, comm)
                 }
-                (FactorReduction::DenseAllreduce, true) => {
-                    self.update_factors_pipelined(&mut layers, comm)
-                }
-                (FactorReduction::DenseAllreduce, false) => self.update_factors(&mut layers, comm),
+                FactorReduction::DenseAllreduce => self.update_factors(&mut layers, comm),
             }
         }
-        if self.cfg.pipelined {
-            if inv_step {
-                self.update_decompositions_pipelined(comm);
-            }
-            self.precondition_and_scale_pipelined(&mut layers, comm, lr);
-        } else {
-            if inv_step {
-                self.update_decompositions(comm);
-            }
-            self.precondition_and_scale(&mut layers, comm, lr);
+        if inv_step {
+            self.update_decompositions(comm);
         }
+        self.precondition_and_scale(&mut layers, comm, lr);
 
         self.note_step_residency();
         self.steps += 1;

@@ -11,20 +11,19 @@
 //! [`Kfac::step_begin`]/[`Kfac::step_finish`] split) the *next* iteration's
 //! factor-accumulation phase.
 //!
-//! Bitwise equivalence with the serial and sweep executors holds because:
+//! Bitwise equivalence with the serial executor holds because:
 //!
 //! - every task reuses the *same* stage kernels and quantization points in
 //!   `crate::state` / `crate::preconditioner`,
 //! - collective begin order is pinned per group by plan-time gates in
-//!   canonical sweep order (the sweep executor's exact begin order), so the
-//!   rank-ordered reductions see identical operand sequences, and
+//!   canonical order (phases in fixed order, layers `0..n` within a phase),
+//!   so the rank-ordered reductions see identical operand sequences, and
 //! - the KL-clip scale runs as a single task in fixed serial layer order.
 
 use kaisa_comm::{CommTag, Communicator, PendingCollective, ReduceOp};
 use kaisa_nn::Model;
 use kaisa_tensor::Matrix;
 
-use crate::pipeline::executor::LayerBcasts;
 use crate::preconditioner::{factor_shards, reassemble_gathered_payload, Kfac};
 use crate::runtime::scheduler::{Scheduler, TaskPoll};
 use crate::state::{
@@ -33,6 +32,25 @@ use crate::state::{
 };
 use crate::strategy::FactorReduction;
 use crate::timing::Stage;
+
+/// A matrix broadcast in flight: the handle plus the destination buffer.
+pub(crate) struct MatBcast {
+    pending: PendingCollective,
+    m: Matrix,
+}
+
+/// All result broadcasts a layer has in flight between the
+/// eigendecomposition phase's begin and complete tasks.
+#[derive(Default)]
+struct LayerBcasts {
+    inv_a: Option<MatBcast>,
+    inv_g: Option<MatBcast>,
+    qa: Option<MatBcast>,
+    qg: Option<MatBcast>,
+    outer: Option<MatBcast>,
+    va_buf: Option<(PendingCollective, Vec<f32>)>,
+    vg_buf: Option<(PendingCollective, Vec<f32>)>,
+}
 
 /// One schedulable unit of a K-FAC step, tagged with its layer index.
 enum TaskKind {
@@ -169,11 +187,11 @@ impl std::fmt::Debug for RuntimeStep {
 
 impl Kfac {
     /// Plan the step's task DAG: tasks in canonical phase order, layers in
-    /// sweep order within each phase, so per-group gate sequences reproduce
-    /// the sweep executor's begin order exactly. Every task except the
+    /// index order within each phase, so per-group gate sequences reproduce
+    /// the serial executor's begin order exactly. Every task except the
     /// factor begins starts *held* (released by `step_finish`), giving
     /// `step_begin` its factor-only contract.
-    fn build_runtime_step(&mut self) -> RuntimeStep {
+    fn build_runtime_step(&mut self, comm: &dyn Communicator) -> RuntimeStep {
         fn push(
             sched: &mut Scheduler,
             kinds: &mut Vec<TaskKind>,
@@ -192,7 +210,6 @@ impl Kfac {
         let inv_step = self.is_inv_update_step();
         let use_eigen = self.cfg.use_eigen;
         let precompute = self.cfg.precompute_outer;
-        let order = self.sweep_order.clone();
         let window_index = self.windows_built;
         let iteration = self.steps;
         self.windows_built += 1;
@@ -201,7 +218,8 @@ impl Kfac {
             self.cfg.runtime_stall_timeout_ms,
             window_index,
             iteration,
-        );
+        )
+        .watching(comm.idle_gauge());
         let mut kinds: Vec<TaskKind> = Vec::new();
 
         // Phase 1: factor update. The resolved `StrategyPlan` picks the
@@ -213,8 +231,8 @@ impl Kfac {
                 FactorReduction::LocalNone => {
                     // No collective: the ungated local fold runs entirely in
                     // `step_begin` and directly feeds the eigensolves.
-                    for &i in &order {
-                        fold_task[i] = Some(push(
+                    for (i, fold) in fold_task.iter_mut().enumerate() {
+                        *fold = Some(push(
                             &mut sched,
                             &mut kinds,
                             TaskKind::FactorLocalFold(i),
@@ -227,19 +245,20 @@ impl Kfac {
                 FactorReduction::ShardedReduceScatter => {
                     let world_group: Vec<usize> = (0..self.world).collect();
                     let wg = sched.add_group(&world_group);
-                    let mut begin_id = vec![0usize; n];
-                    for &i in &order {
-                        begin_id[i] = push(
-                            &mut sched,
-                            &mut kinds,
-                            TaskKind::FactorShardBegin(i),
-                            format!("factor-begin L{i}"),
-                            Some(wg),
-                            &[],
-                        );
-                    }
-                    for &i in &order {
-                        fold_task[i] = Some(push(
+                    let begin_id: Vec<usize> = (0..n)
+                        .map(|i| {
+                            push(
+                                &mut sched,
+                                &mut kinds,
+                                TaskKind::FactorShardBegin(i),
+                                format!("factor-begin L{i}"),
+                                Some(wg),
+                                &[],
+                            )
+                        })
+                        .collect();
+                    for (i, fold) in fold_task.iter_mut().enumerate() {
+                        *fold = Some(push(
                             &mut sched,
                             &mut kinds,
                             TaskKind::FactorShardComplete(i),
@@ -248,9 +267,9 @@ impl Kfac {
                             &[begin_id[i]],
                         ));
                     }
-                    for &i in &order {
-                        let asn = self.plan.layers[i].clone();
-                        if self.strat.needs_regather(&asn) && asn.eig_worker_group().contains(&rank)
+                    for (i, fold) in fold_task.iter_mut().enumerate() {
+                        let asn = &self.plan.layers[i];
+                        if self.strat.needs_regather(asn) && asn.eig_worker_group().contains(&rank)
                         {
                             let eg = sched.add_group(&asn.eig_worker_group());
                             let gb = push(
@@ -259,9 +278,9 @@ impl Kfac {
                                 TaskKind::FactorGatherBegin(i),
                                 format!("factor-gather-begin L{i}"),
                                 Some(eg),
-                                &[fold_task[i].expect("shard complete planned")],
+                                &[fold.expect("shard complete planned")],
                             );
-                            fold_task[i] = Some(push(
+                            *fold = Some(push(
                                 &mut sched,
                                 &mut kinds,
                                 TaskKind::FactorGatherComplete(i),
@@ -275,19 +294,20 @@ impl Kfac {
                 FactorReduction::DenseAllreduce => {
                     let world_group: Vec<usize> = (0..self.world).collect();
                     let wg = sched.add_group(&world_group);
-                    let mut begin_id = vec![0usize; n];
-                    for &i in &order {
-                        begin_id[i] = push(
-                            &mut sched,
-                            &mut kinds,
-                            TaskKind::FactorDenseBegin(i),
-                            format!("factor-begin L{i}"),
-                            Some(wg),
-                            &[],
-                        );
-                    }
-                    for &i in &order {
-                        fold_task[i] = Some(push(
+                    let begin_id: Vec<usize> = (0..n)
+                        .map(|i| {
+                            push(
+                                &mut sched,
+                                &mut kinds,
+                                TaskKind::FactorDenseBegin(i),
+                                format!("factor-begin L{i}"),
+                                Some(wg),
+                                &[],
+                            )
+                        })
+                        .collect();
+                    for (i, fold) in fold_task.iter_mut().enumerate() {
+                        *fold = Some(push(
                             &mut sched,
                             &mut kinds,
                             TaskKind::FactorDenseComplete(i),
@@ -303,7 +323,7 @@ impl Kfac {
         // Phase 2: eigendecompositions.
         let mut eig_last: Vec<Option<usize>> = vec![None; n];
         if inv_step {
-            for &i in &order {
+            for i in 0..n {
                 let deps: Vec<usize> = fold_task[i].into_iter().collect();
                 let s = push(
                     &mut sched,
@@ -354,8 +374,8 @@ impl Kfac {
                     ));
                 }
             }
-            for &i in &order {
-                let asn = self.plan.layers[i].clone();
+            for (i, last) in eig_last.iter_mut().enumerate() {
+                let asn = &self.plan.layers[i];
                 if asn.is_gradient_worker(rank) && asn.gradient_workers.len() > 1 {
                     let gg = sched.add_group(&asn.gradient_workers);
                     let bb = push(
@@ -364,9 +384,9 @@ impl Kfac {
                         TaskKind::EigBcastBegin(i),
                         format!("eig-bcast-begin L{i}"),
                         Some(gg),
-                        &[eig_last[i].expect("eig solve planned")],
+                        &[last.expect("eig solve planned")],
                     );
-                    eig_last[i] = Some(push(
+                    *last = Some(push(
                         &mut sched,
                         &mut kinds,
                         TaskKind::EigBcastComplete(i),
@@ -380,7 +400,7 @@ impl Kfac {
 
         // Phase 3: precondition, gradient broadcasts, scale.
         let mut grad_last = vec![0usize; n];
-        for &i in &order {
+        for i in 0..n {
             let deps: Vec<usize> = eig_last[i].into_iter().collect();
             let p = push(
                 &mut sched,
@@ -459,6 +479,12 @@ impl Kfac {
     /// collective order stays consistent. Requires `async_runtime`.
     pub fn step_begin<M: Model>(&mut self, model: &mut M, comm: &dyn Communicator) {
         assert!(self.cfg.async_runtime, "step_begin requires async_runtime(true)");
+        self.runtime_begin(model, comm);
+    }
+
+    /// The body of [`Kfac::step_begin`], shared with the monolithic
+    /// [`Kfac::step`] (which runs it and `step_finish` back to back).
+    pub(crate) fn runtime_begin<M: Model>(&mut self, model: &mut M, comm: &dyn Communicator) {
         assert!(
             self.runtime_step.is_none(),
             "step_begin called twice without an intervening step_finish"
@@ -483,7 +509,7 @@ impl Kfac {
         assert_eq!(layers.len(), self.states.len(), "layer set changed after registration");
         self.note_capture_residency(&layers);
         let RuntimeStep { mut sched, kinds, mut ctx, window_index, iteration } =
-            self.build_runtime_step();
+            self.build_runtime_step(comm);
         sched.run(|id| self.run_task(&kinds[id], &mut layers, comm, &mut ctx, 0.0));
         self.runtime_step = Some(RuntimeStep { sched, kinds, ctx, window_index, iteration });
     }
@@ -1059,18 +1085,63 @@ impl Kfac {
     }
 }
 
+impl Kfac {
+    /// Begin a matrix broadcast within `group` from `root`: quantize on the
+    /// root, attribute its logical bytes, and return the in-flight handle.
+    /// The serial executor completes it at once; the runtime parks on it.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn begin_matrix_bcast(
+        &mut self,
+        layer: usize,
+        comm: &dyn Communicator,
+        local: Option<Matrix>,
+        rows: usize,
+        cols: usize,
+        root: usize,
+        group: &[usize],
+    ) -> MatBcast {
+        let precision = self.cfg.precision;
+        let mut m = local.unwrap_or_else(|| Matrix::zeros(rows, cols));
+        debug_assert_eq!(m.shape(), (rows, cols));
+        if self.rank == root {
+            m.quantize(precision);
+        }
+        let pending = self.times.time_layer(layer, Stage::EigComm, || {
+            comm.begin_broadcast(m.as_slice(), root, group, CommTag::EigComm)
+        });
+        if self.rank == root {
+            self.comm_bytes +=
+                (rows * cols * precision.bytes_per_element() * (group.len() - 1)) as u64;
+        }
+        MatBcast { pending, m }
+    }
+
+    /// Complete a matrix broadcast begun by [`Kfac::begin_matrix_bcast`].
+    pub(crate) fn complete_matrix_bcast(
+        &mut self,
+        layer: usize,
+        comm: &dyn Communicator,
+        mb: MatBcast,
+    ) -> Matrix {
+        let MatBcast { pending, mut m } = mb;
+        let buf = m.as_mut_slice();
+        self.times.time_layer(layer, Stage::EigComm, || comm.complete(pending, buf));
+        m
+    }
+}
+
 /// True once every result broadcast a layer has in flight is ready to
 /// complete without blocking.
 fn eig_bcasts_ready(comm: &dyn Communicator, b: &LayerBcasts) -> bool {
     let mats = [&b.inv_a, &b.inv_g, &b.qa, &b.qg, &b.outer];
-    mats.iter().all(|mb| mb.as_ref().map_or(true, |mb| comm.poll_ready(mb.pending())))
+    mats.iter().all(|mb| mb.as_ref().map_or(true, |mb| comm.poll_ready(&mb.pending)))
         && b.va_buf.as_ref().map_or(true, |(p, _)| comm.poll_ready(p))
         && b.vg_buf.as_ref().map_or(true, |(p, _)| comm.poll_ready(p))
 }
 
 #[cfg(test)]
 mod tests {
-    use crate::config::KfacConfig;
+    use crate::config::{KfacConfig, KfacConfigBuilder};
     use crate::preconditioner::Kfac;
     use kaisa_comm::{Communicator, LocalComm, ThreadComm};
     use kaisa_nn::models::Mlp;
@@ -1236,9 +1307,51 @@ mod tests {
     }
 
     #[test]
+    fn slow_peer_does_not_trip_the_watchdog() {
+        // Rank 1 sleeps three stall timeouts before its step while rank 0
+        // parks on the factor allreduce. Rank 1 is alive (outside its
+        // step), so the world is never all idle and the watchdog must wait
+        // it out; the run then matches the serial reference bit for bit.
+        type Build = fn(KfacConfigBuilder) -> KfacConfigBuilder;
+        let run = |build: Build, slow: bool| {
+            ThreadComm::run(2, move |comm| {
+                let mut m = Mlp::new(&[6, 10, 3], &mut Rng::seed_from_u64(404));
+                let mut rng = Rng::seed_from_u64(11 + comm.rank() as u64);
+                let x = Matrix::randn(16, 6, 1.0, &mut rng);
+                let y: Vec<usize> = (0..16).map(|i| (i + comm.rank()) % 3).collect();
+                let cfg = build(
+                    KfacConfig::builder()
+                        .factor_update_freq(1)
+                        .inv_update_freq(1)
+                        .runtime_stall_timeout_ms(200),
+                )
+                .build();
+                let mut kfac = Kfac::new(cfg, &mut m, comm);
+                for step in 0..2 {
+                    kfac.prepare(&mut m);
+                    m.zero_grad();
+                    let _ = m.forward_backward(&x, &y);
+                    if slow && step == 0 && comm.rank() == 1 {
+                        std::thread::sleep(std::time::Duration::from_millis(600));
+                    }
+                    kfac.step(&mut m, comm, 0.1);
+                }
+                m.grads_flat()
+            })
+        };
+        let serial = run(|b| b.pipelined(false), false);
+        let configs: [(&str, Build); 2] =
+            [("default", |b| b), ("async_runtime", |b| b.async_runtime(true))];
+        for (name, build) in configs {
+            assert_eq!(run(build, true), serial, "{name}: slow peer changed the result");
+        }
+    }
+
+    #[test]
     fn mismatched_collective_trips_watchdog_instead_of_deadlocking() {
-        // Rank 1 never enters the step, so rank 0's factor allreduce can
-        // never become ready: the runtime must park, detect the stall, and
+        // Rank 1 leaves the world without entering the step, so rank 0's
+        // factor allreduce can never become ready and every rank still in
+        // the world is idle: the runtime must park, detect the stall, and
         // dump a diagnostic panic instead of hanging inside `complete`.
         // `ThreadComm::run` re-raises rank panics with a generic wrapper
         // message, so catch the panic inside the rank thread and assert on

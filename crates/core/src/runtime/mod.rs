@@ -1,16 +1,21 @@
 //! Per-rank cooperative task runtime with cross-iteration phase overlap.
 //!
-//! The third `Kfac::step` executor (after the serial reference and the
-//! sweep pipeline): stage work becomes polled task units on a per-rank
-//! ready-queue [`scheduler::Scheduler`]. A task blocked on an in-flight
-//! collective *parks*, yielding the rank to any runnable task — and the
-//! [`crate::Kfac::step_begin`]/[`crate::Kfac::step_finish`] split lets the
-//! next iteration's factor-accumulation collectives launch before the
-//! current DDP allreduce, overlapping phases across the iteration boundary.
-//! Collective begin order is pinned per communication group by plan-time
-//! gates (canonical sweep order), so all three executors stay bitwise
-//! identical. A stall watchdog converts a mismatched collective into a
-//! per-rank task-state diagnostic panic instead of a hang.
+//! `Kfac::step` has two executors: the serial reference
+//! (`crate::preconditioner`), which walks each layer through its stages
+//! and blocks at every collective, and this runtime, the one fast path.
+//! Stage work becomes polled task units on a per-rank ready-queue
+//! [`scheduler::Scheduler`]. A task blocked on an in-flight collective
+//! *parks*, yielding the rank to any runnable task. `Kfac::step` runs the
+//! whole DAG at once; with `KfacConfig::async_runtime` the caller drives
+//! the [`crate::Kfac::step_begin`]/[`crate::Kfac::step_finish`] split
+//! itself, so the next iteration's factor-accumulation collectives launch
+//! before the current DDP allreduce, overlapping phases across the
+//! iteration boundary. Collective begin order is pinned per communication
+//! group by plan-time gates (phases in order, layers `0..n` within a
+//! phase), so the runtime stays bitwise identical to the serial executor.
+//! A stall watchdog converts a mismatched collective into a per-rank
+//! task-state diagnostic panic instead of a hang; it fires only once every
+//! rank of the world sits idle, so a slow peer never trips it.
 //!
 //! With `KfacConfig::cross_iter_depth` beyond 1, the lookahead generalizes
 //! to a **depth-D scheduling window**: `step_finish` may retire a

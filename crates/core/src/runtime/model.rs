@@ -32,7 +32,7 @@ use crate::state::factor_payload_len;
 /// Which executor's dependency structure the model applies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OverlapMode {
-    /// Sweep-pipelined `step()`: a barrier at each iteration boundary.
+    /// Monolithic `step()`: a barrier at each iteration boundary.
     Pipelined,
     /// Task runtime with the `step_begin`/`step_finish` lookahead split.
     Runtime,
@@ -45,7 +45,7 @@ pub struct WindowSpec {
     /// Maximum in-flight step DAGs: a factor-update iteration's comm/fold
     /// residue may drain under up to `depth - 1` later iterations (its
     /// folds must land by the scale of iteration `k + depth - 1`). Depth 1
-    /// is the barrier semantics of the sweep executor.
+    /// is the barrier semantics of the monolithic `step()`.
     pub depth: usize,
     /// Iterations between factor updates (`KfacConfig::factor_update_freq`)
     /// — iterations out of phase carry no factor tasks at all, which is
@@ -138,7 +138,7 @@ impl CrossIterModel {
 
     /// Build a depth-D cross-iteration window: `spec.iterations` iterations
     /// at `spec.factor_update_freq`, holding up to `spec.depth` in-flight
-    /// step DAGs. Depth 1 reproduces the sweep executor's barriers (factor
+    /// step DAGs. Depth 1 reproduces the monolithic step's barriers (factor
     /// finalize behind the DDP allreduce, preconditioning behind every
     /// fold, nothing crossing the scale). Depth D ≥ 2 issues factor work
     /// right after the backward pass and lets a factor iteration's
@@ -357,7 +357,7 @@ impl CrossIterModel {
 
 /// Modeled two-iteration makespans `(pipelined, runtime)` for a layer set.
 /// The runtime figure is clamped to the pipelined one: the live runtime can
-/// always fall back to the sweep executor's issue order, so a greedy
+/// always fall back to the monolithic step's issue order, so a greedy
 /// scheduling anomaly never makes it *slower* in practice.
 pub fn modeled_cross_iter_makespans(
     dims: &[(usize, usize)],
@@ -472,7 +472,7 @@ mod tests {
     }
 
     #[test]
-    fn runtime_makespan_never_exceeds_pipelined() {
+    fn runtime_makespan_never_exceeds_monolithic_step() {
         for world in [1, 2, 4, 8] {
             for network in [ClusterNetwork::ethernet_10g(), ClusterNetwork::infiniband_edr()] {
                 let (pipelined, runtime) =

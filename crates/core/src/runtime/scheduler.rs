@@ -6,12 +6,12 @@
 //! disciplines:
 //!
 //! - **Gated tasks** issue collectives (`begin_*` calls). Their gate
-//!   `(group, seq)` is assigned at plan time in canonical sweep order, and
+//!   `(group, seq)` is assigned at plan time in canonical order, and
 //!   the scheduler refuses to run a gated task until every earlier gated
 //!   task on the same communication group has finished. Because every rank
 //!   plans the same per-group task sequence, this pins the per-group begin
 //!   order that the rendezvous matching rule requires — which is exactly
-//!   what makes the runtime bitwise identical to the sweep executor. Begins
+//!   what makes the runtime bitwise identical to the serial executor. Begins
 //!   never block, so a gated task must finish on its first poll.
 //! - **Parkable tasks** consume collectives (`complete` calls). They poll
 //!   readiness and return [`TaskPoll::Pending`] while the collective is in
@@ -21,11 +21,16 @@
 //!
 //! When a full scan makes no progress the scheduler briefly sleeps (ranks
 //! are threads; sleeping yields the core to peer ranks) and checks the
-//! stall watchdog: if no task has finished for the configured timeout, the
-//! scheduler panics with a per-task state dump instead of hanging the
-//! process — turning a mismatched collective into a failing diagnostic.
+//! stall watchdog. A rank with nothing runnable marks itself idle on the
+//! world-shared [`IdleGauge`]; the watchdog fires only once *every* rank of
+//! the world has sat idle for the configured timeout, and then panics with
+//! a per-task state dump instead of hanging the process — turning a
+//! mismatched collective into a failing diagnostic. A peer that is merely
+//! slow (computing, or not yet inside its step) keeps the timer reset.
 
 use std::time::{Duration, Instant};
+
+use kaisa_comm::IdleGauge;
 
 /// Result of polling one task.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -74,6 +79,19 @@ pub struct Scheduler {
     /// included in the watchdog panic and the state dump so a stall in a
     /// depth-D window names *which* in-flight step wedged.
     window: Option<(u64, u64)>,
+    /// This rank's handle on the world's idle count (a world of one unless
+    /// [`Scheduler::watching`] supplies the communicator's gauge).
+    gauge: IdleGauge,
+}
+
+/// Clears the rank's idle mark however a scheduler run exits — normal
+/// return, watchdog panic, or a panicking task.
+struct BusyOnExit<'a>(&'a IdleGauge);
+
+impl Drop for BusyOnExit<'_> {
+    fn drop(&mut self) {
+        self.0.set_idle(false);
+    }
 }
 
 impl Scheduler {
@@ -88,7 +106,16 @@ impl Scheduler {
             rank,
             stall_timeout: Duration::from_millis(stall_timeout_ms),
             window: None,
+            gauge: IdleGauge::solo(),
         }
+    }
+
+    /// Judge stalls against the whole world: the watchdog fires only while
+    /// every rank sharing `gauge`'s counter is idle (see
+    /// [`kaisa_comm::Communicator::idle_gauge`]).
+    pub fn watching(mut self, gauge: IdleGauge) -> Self {
+        self.gauge = gauge;
+        self
     }
 
     /// Like [`Scheduler::new`], tagged with the cross-iteration window index
@@ -123,7 +150,7 @@ impl Scheduler {
 
     /// Add a task. `gate_group` marks a begin-bearing task: its gate
     /// sequence is the group's next plan-time counter value, so tasks must
-    /// be added in the canonical (sweep-order) begin order. `deps` are ids
+    /// be added in the canonical begin order. `deps` are ids
     /// of previously added tasks.
     pub fn add_task(&mut self, label: String, gate_group: Option<usize>, deps: &[usize]) -> usize {
         let id = self.nodes.len();
@@ -206,6 +233,8 @@ impl Scheduler {
     }
 
     fn run_until(&mut self, poll: &mut impl FnMut(usize) -> TaskPoll, exit_on_deferrable: bool) {
+        let gauge = self.gauge.clone();
+        let _busy = BusyOnExit(&gauge);
         let mut last_progress = Instant::now();
         // Spin-then-sleep: a burst of empty scans spins (a parked collective
         // usually flips ready within microseconds on the lock-free comm
@@ -238,9 +267,15 @@ impl Scheduler {
                             continue;
                         }
                     }
+                    // Re-polling a parked task is a cheap readiness probe;
+                    // anything else may compute, so the rank is busy.
+                    if !node.parked {
+                        gauge.set_idle(false);
+                    }
                 }
                 match poll(id) {
                     TaskPoll::Done => {
+                        gauge.set_idle(false);
                         self.finish(id);
                         progress = true;
                     }
@@ -261,14 +296,19 @@ impl Scheduler {
                 last_progress = Instant::now();
                 idle_scans = 0;
             } else {
-                if last_progress.elapsed() >= self.stall_timeout {
+                gauge.set_idle(true);
+                if !gauge.world_idle() {
+                    // Some rank is still working or outside its step: a
+                    // slow peer, not a stall.
+                    last_progress = Instant::now();
+                } else if last_progress.elapsed() >= self.stall_timeout {
                     let window = match self.window {
                         Some((w, it)) => format!(" (window {w}, iteration {it})"),
                         None => String::new(),
                     };
                     panic!(
-                        "rank {}{window}: runtime stall watchdog fired after {:?} with no \
-                         progress (likely a mismatched collective)\n{}",
+                        "rank {}{window}: runtime stall watchdog fired after {:?} with every \
+                         rank idle (likely a mismatched collective)\n{}",
                         self.rank,
                         self.stall_timeout,
                         self.dump()
@@ -491,6 +531,36 @@ mod tests {
     fn watchdog_converts_a_permanent_park_into_a_diagnostic_panic() {
         let mut sched = Scheduler::new(0, 50);
         sched.add_task("never-ready-complete".into(), None, &[]);
+        sched.run(|_| TaskPoll::Pending);
+    }
+
+    #[test]
+    fn watchdog_waits_out_a_busy_peer() {
+        // Rank 1 of a two-rank world never goes idle (it is computing, or
+        // has not entered its step), so rank 0 may park far beyond the
+        // timeout without the watchdog firing.
+        let gauges = IdleGauge::world(2);
+        let mut sched = Scheduler::new(0, 50).watching(gauges[0].clone());
+        sched.add_task("slow-peer-complete".into(), None, &[]);
+        let start = Instant::now();
+        sched.run(|_| {
+            if start.elapsed() < Duration::from_millis(150) {
+                TaskPoll::Pending
+            } else {
+                TaskPoll::Done
+            }
+        });
+        assert!(sched.all_done());
+        assert!(!gauges[1].world_idle(), "the run leaves rank 0 marked busy");
+    }
+
+    #[test]
+    #[should_panic(expected = "stall watchdog")]
+    fn watchdog_fires_once_every_rank_is_idle() {
+        let gauges = IdleGauge::world(2);
+        gauges[1].set_idle(true);
+        let mut sched = Scheduler::new(0, 50).watching(gauges[0].clone());
+        sched.add_task("mismatched-complete".into(), None, &[]);
         sched.run(|_| TaskPoll::Pending);
     }
 

@@ -4,8 +4,7 @@
 //! my stage?" from scattered config bits (`sharded_factors`, `use_eigen`,
 //! worker counts). This module centralizes that decision into a
 //! [`StrategyPlan`] computed once in `Kfac::new` and consumed uniformly by
-//! the serial, sweep-pipelined, and task-runtime executors, the stage-graph
-//! builder ([`crate::StepModelOptions`]), and the memory meter — so adding
+//! the serial and task-runtime executors and the memory meter — so adding
 //! a strategy (like DP-KFAC's `LocalOpt`) is a plan change, not an
 //! every-executor change.
 //!
@@ -43,7 +42,7 @@ pub enum FactorReduction {
 /// The resolved per-run distribution plan: which strategy is in effect and
 /// what every stage of the step must do about communication. Computed once
 /// in `Kfac::new` (a pure function of config + placement, identical on
-/// every rank) and consulted by all three executors, so no executor body
+/// every rank) and consulted by both executors, so no executor body
 /// branches on raw strategy/config flags.
 #[derive(Debug, Clone)]
 pub struct StrategyPlan {

@@ -143,8 +143,8 @@ impl IterationBreakdown {
         self.total() - self.forward_backward - self.grad_allreduce
     }
 
-    /// Total seconds per iteration under the pipelined executor's stage
-    /// model: within each K-FAC phase, communication of one layer hides
+    /// Total seconds per iteration under the overlapped stage model of a
+    /// monolithic `Kfac::step`: within each K-FAC phase, communication of one layer hides
     /// behind compute of the others, so a phase costs `max(compute, comm)`
     /// instead of their sum. The baseline stages and the (inherently serial)
     /// KL-clip scale are unchanged.
@@ -172,7 +172,7 @@ impl IterationBreakdown {
     /// cross-iteration window: each additional in-flight iteration donates
     /// one more forward-pass third to hide deferred factor work under, so
     /// the hideable window is `(depth - 1) * forward_backward / 3`. Depth 1
-    /// is the sweep pipeline (nothing crosses the iteration boundary);
+    /// is the monolithic step (nothing crosses the iteration boundary);
     /// depth 2 reproduces [`IterationBreakdown::runtime_total`] exactly.
     /// The amortized factor phase saturates: once it is fully hidden,
     /// deeper windows stop helping.
@@ -482,7 +482,7 @@ mod tests {
             assert!(runtime >= b.forward_backward + b.grad_allreduce + b.scale);
         }
         // ResNet-50's amortized factor phase is nonzero, so hoisting it into
-        // the next forward pass must be a strict win over the sweep pipeline.
+        // the next forward pass must be a strict win over the monolithic step.
         let b = rn50_sim(0.5).iteration_breakdown();
         assert!(
             b.runtime_total() < b.overlapped_total(),

@@ -103,13 +103,14 @@ fn ring_matches_mutex_across_strategies() {
 
 #[test]
 fn ring_matches_mutex_across_executors_and_depths() {
-    // The executor axis: serial, pipelined, and the task runtime at window
-    // depths 1–3. The runtime leans hardest on non-blocking begin/poll/
-    // complete overlap, which is exactly where a mis-sequenced ring would
-    // first diverge.
+    // The executor axis: serial, the default config (the task runtime
+    // through `Kfac::step`), and the caller-driven runtime at window depths
+    // 1–3. The runtime leans hardest on non-blocking begin/poll/complete
+    // overlap, which is exactly where a mis-sequenced ring would first
+    // diverge.
     let world = 4;
     assert_backends_equivalent(world, 10, 223, "serial", |b| b.pipelined(false));
-    assert_backends_equivalent(world, 10, 223, "pipelined", |b| b.pipelined(true));
+    assert_backends_equivalent(world, 10, 223, "default", |b| b);
     for depth in [1usize, 2, 3] {
         assert_backends_equivalent(world, 10, 223, &format!("runtime depth={depth}"), move |b| {
             b.async_runtime(true).cross_iter_depth(depth)

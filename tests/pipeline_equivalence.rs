@@ -1,7 +1,7 @@
-//! The pipelined executor's contract: splitting `Kfac::step` into per-layer
-//! stage tasks with non-blocking collectives changes *when* work happens,
-//! never *what* is computed. Serial and pipelined execution must be bitwise
-//! identical — same preconditioned gradients, same trained weights, same
+//! The task runtime's contract: splitting `Kfac::step` into per-layer stage
+//! tasks with non-blocking collectives changes *when* work happens, never
+//! *what* is computed. The runtime must be bitwise identical to the serial
+//! reference — same preconditioned gradients, same trained weights, same
 //! logical communication volume — across every distribution strategy, world
 //! size, precision, and communication layout.
 
@@ -61,65 +61,95 @@ fn bits(v: &[f32]) -> Vec<u32> {
     v.iter().map(|x| x.to_bits()).collect()
 }
 
-/// Assert the two executors produced bit-identical training on every rank.
+/// Assert the two runs produced bit-identical training on every rank.
 fn assert_bitwise_equal(
     serial: &[(Vec<f32>, Vec<f32>, u64, MeterSnapshot)],
-    pipelined: &[(Vec<f32>, Vec<f32>, u64, MeterSnapshot)],
+    candidate: &[(Vec<f32>, Vec<f32>, u64, MeterSnapshot)],
     ctx: &str,
 ) {
-    assert_eq!(serial.len(), pipelined.len());
-    for (rank, (s, p)) in serial.iter().zip(pipelined).enumerate() {
+    assert_eq!(serial.len(), candidate.len());
+    for (rank, (s, p)) in serial.iter().zip(candidate).enumerate() {
         assert_eq!(bits(&s.0), bits(&p.0), "{ctx}: rank {rank} params differ");
         assert_eq!(bits(&s.1), bits(&p.1), "{ctx}: rank {rank} grads differ");
         assert_eq!(s.2, p.2, "{ctx}: rank {rank} logical comm bytes differ");
     }
 }
 
-#[test]
-fn pipelined_is_bitwise_identical_across_strategies_and_worlds() {
+/// A config transform applied on top of a test's base builder.
+type Build = fn(KfacConfigBuilder) -> KfacConfigBuilder;
+
+/// The default executor: `pipelined(true)` runs the task runtime's
+/// begin/finish back to back inside `Kfac::step` (what the end-to-end
+/// benchmark measures).
+const PIPELINED: Build = |b| b.pipelined(true);
+
+/// The caller-driven `async_runtime(true)` split, here driven through the
+/// monolithic step.
+const ASYNC_RUNTIME: Build = |b| b.async_runtime(true);
+
+/// Serial reference vs `config` on the full strategy matrix.
+fn check_strategies_and_worlds(name: &str, config: Build) {
     for world in [1usize, 2, 4, 8] {
         for frac in [1.0 / world as f64, 0.5, 1.0] {
             let serial = train(world, 10, 31, |b| b.grad_worker_frac(frac).pipelined(false));
-            let pipelined = train(world, 10, 31, |b| b.grad_worker_frac(frac).pipelined(true));
-            assert_bitwise_equal(&serial, &pipelined, &format!("world={world} frac={frac}"));
+            let runtime = train(world, 10, 31, |b| config(b.grad_worker_frac(frac)));
+            let ctx = format!("{name} world={world} frac={frac}");
+            assert_bitwise_equal(&serial, &runtime, &ctx);
         }
     }
 }
 
-#[test]
-fn pipelined_is_bitwise_identical_with_fp16_and_triangular_comm() {
-    for (precision, triangular) in
-        [(Precision::Fp16, false), (Precision::Fp32, true), (Precision::Fp16, true)]
-    {
-        let mk = |pipelined: bool| {
-            train(4, 8, 47, move |b| {
-                b.grad_worker_frac(0.5)
-                    .precision(precision)
-                    .triangular_comm(triangular)
-                    .pipelined(pipelined)
-            })
+/// Serial reference vs `config` across precision and communication layouts.
+fn check_fp16_triangular_and_sharded(name: &str, config: Build) {
+    for (precision, triangular, sharded) in [
+        (Precision::Fp16, false, false),
+        (Precision::Fp32, true, false),
+        (Precision::Fp16, true, false),
+        (Precision::Fp16, true, true),
+        (Precision::Fp32, false, true),
+    ] {
+        let layout = move |b: KfacConfigBuilder| {
+            b.grad_worker_frac(0.5)
+                .precision(precision)
+                .triangular_comm(triangular)
+                .sharded_factors(sharded)
         };
-        let ctx = format!("precision={precision:?} triangular={triangular}");
-        assert_bitwise_equal(&mk(false), &mk(true), &ctx);
+        let serial = train(4, 8, 47, |b| layout(b).pipelined(false));
+        let runtime = train(4, 8, 47, |b| config(layout(b)));
+        let ctx = format!("{name} precision={precision:?} tri={triangular} sharded={sharded}");
+        assert_bitwise_equal(&serial, &runtime, &ctx);
     }
 }
 
-#[test]
-fn pipelined_is_bitwise_identical_on_variant_algorithms() {
-    // The direct-inverse fallback (Eq. 12–14), the outer-product ablation,
-    // and EK-FAC exercise different collectives; all must stay bit-exact.
-    type Variant = (&'static str, fn(KfacConfigBuilder) -> KfacConfigBuilder);
-    let variants: [Variant; 3] = [
+/// Serial reference vs `config` on the variant algorithms: the direct-inverse
+/// fallback (Eq. 12–14), the outer-product ablation, and EK-FAC exercise
+/// different collectives; all must stay bit-exact.
+fn check_variant_algorithms(name: &str, config: Build) {
+    let variants: [(&str, Build); 3] = [
         ("inverse", |b| b.use_eigen(false)),
         ("no-precompute", |b| b.precompute_outer(false)),
         ("ekfac", |b| b.ekfac(true)),
     ];
-    for (name, variant) in variants {
-        let mk = |pipelined: bool| {
-            train(4, 8, 59, |b| variant(b.grad_worker_frac(0.5)).pipelined(pipelined))
-        };
-        assert_bitwise_equal(&mk(false), &mk(true), name);
+    for (variant_name, variant) in variants {
+        let serial = train(4, 8, 59, |b| variant(b.grad_worker_frac(0.5)).pipelined(false));
+        let runtime = train(4, 8, 59, |b| config(variant(b.grad_worker_frac(0.5))));
+        assert_bitwise_equal(&serial, &runtime, &format!("{name} {variant_name}"));
     }
+}
+
+#[test]
+fn pipelined_is_bitwise_identical_across_strategies_and_worlds() {
+    check_strategies_and_worlds("pipelined", PIPELINED);
+}
+
+#[test]
+fn pipelined_is_bitwise_identical_with_fp16_and_triangular_comm() {
+    check_fp16_triangular_and_sharded("pipelined", PIPELINED);
+}
+
+#[test]
+fn pipelined_is_bitwise_identical_on_variant_algorithms() {
+    check_variant_algorithms("pipelined", PIPELINED);
 }
 
 #[test]
@@ -288,37 +318,6 @@ fn sharded_factors_cut_metered_factor_bytes_at_world_8() {
     }
 }
 
-#[test]
-fn priority_schedule_never_changes_numerics() {
-    // Reordering sweep issue order keeps every collective's group and
-    // payload, so training — including logical comm bytes — is bitwise
-    // unchanged in both the dense and sharded paths.
-    for world in [4usize, 8] {
-        for sharded in [false, true] {
-            let fixed = train(world, 10, 107, |b| {
-                b.grad_worker_frac(0.5).pipelined(true).sharded_factors(sharded)
-            });
-            let prioritized = train(world, 10, 107, |b| {
-                b.grad_worker_frac(0.5)
-                    .pipelined(true)
-                    .sharded_factors(sharded)
-                    .priority_schedule(true)
-            });
-            let ctx = format!("world={world} sharded={sharded}");
-            assert_bitwise_equal(&fixed, &prioritized, &ctx);
-            for (rank, (f, p)) in fixed.iter().zip(&prioritized).enumerate() {
-                for tag in CommTag::ALL {
-                    assert_eq!(
-                        f.3.tag_bytes(tag),
-                        p.3.tag_bytes(tag),
-                        "{ctx}: rank {rank} {tag:?} bytes changed under priority schedule"
-                    );
-                }
-            }
-        }
-    }
-}
-
 /// Like [`train`], but drives the task runtime through the trainer's
 /// two-step lookahead split: `step_begin` launches factor collectives
 /// *before* the DDP gradient allreduce, `step_finish` drains them after.
@@ -361,54 +360,20 @@ fn train_lookahead(
 
 #[test]
 fn async_runtime_is_bitwise_identical_across_strategies_and_worlds() {
-    // The tentpole contract: the task runtime replays the sweep executor's
+    // The tentpole contract: the task runtime replays the serial executor's
     // collective order through plan-time gates, so training is bitwise
     // identical to the serial reference on the full strategy matrix.
-    for world in [1usize, 2, 4, 8] {
-        for frac in [1.0 / world as f64, 0.5, 1.0] {
-            let serial = train(world, 10, 31, |b| b.grad_worker_frac(frac).pipelined(false));
-            let runtime = train(world, 10, 31, |b| b.grad_worker_frac(frac).async_runtime(true));
-            assert_bitwise_equal(&serial, &runtime, &format!("runtime world={world} frac={frac}"));
-        }
-    }
+    check_strategies_and_worlds("async_runtime", ASYNC_RUNTIME);
 }
 
 #[test]
 fn async_runtime_is_bitwise_identical_with_fp16_triangular_and_sharded() {
-    for (precision, triangular, sharded) in [
-        (Precision::Fp16, false, false),
-        (Precision::Fp32, true, false),
-        (Precision::Fp16, true, true),
-        (Precision::Fp32, false, true),
-    ] {
-        let mk = |runtime: bool| {
-            train(4, 8, 47, move |b| {
-                b.grad_worker_frac(0.5)
-                    .precision(precision)
-                    .triangular_comm(triangular)
-                    .sharded_factors(sharded)
-                    .pipelined(!runtime)
-                    .async_runtime(runtime)
-            })
-        };
-        let ctx = format!("runtime precision={precision:?} tri={triangular} sharded={sharded}");
-        assert_bitwise_equal(&mk(false), &mk(true), &ctx);
-    }
+    check_fp16_triangular_and_sharded("async_runtime", ASYNC_RUNTIME);
 }
 
 #[test]
 fn async_runtime_is_bitwise_identical_on_variant_algorithms() {
-    type Variant = (&'static str, fn(KfacConfigBuilder) -> KfacConfigBuilder);
-    let variants: [Variant; 3] = [
-        ("inverse", |b| b.use_eigen(false)),
-        ("no-precompute", |b| b.precompute_outer(false)),
-        ("ekfac", |b| b.ekfac(true)),
-    ];
-    for (name, variant) in variants {
-        let serial = train(4, 8, 59, |b| variant(b.grad_worker_frac(0.5)).pipelined(false));
-        let runtime = train(4, 8, 59, |b| variant(b.grad_worker_frac(0.5)).async_runtime(true));
-        assert_bitwise_equal(&serial, &runtime, &format!("runtime {name}"));
-    }
+    check_variant_algorithms("async_runtime", ASYNC_RUNTIME);
 }
 
 #[test]
@@ -586,8 +551,8 @@ fn cost_model_shows_overlap_win_on_comm_bound_resnet() {
     );
     // Sanity: the dependency-only critical path lower-bounds the schedule.
     assert!(m.graph().critical_path() <= m.pipelined_seconds() + 1e-15);
-    // The task runtime relaxes the sweep's lock-step issue order, so its
-    // modeled makespan can never exceed the pipelined schedule.
+    // The task runtime relaxes the lock-step issue order, so its
+    // modeled makespan can never exceed the issue-order schedule.
     assert!(
         m.runtime_seconds() <= m.pipelined_seconds() + 1e-15,
         "runtime {} must not exceed pipelined {}",

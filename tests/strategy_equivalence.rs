@@ -238,17 +238,17 @@ fn local_opt_world1_is_bitwise_identical_to_dense_serial() {
 
 #[test]
 fn local_opt_is_deterministic_across_executors_ranks_and_worlds() {
-    // The fourth strategy through the full executor matrix: serial,
-    // pipelined, and task-runtime (at depths 1–3) must train bit-identically
+    // The fourth strategy through the full executor matrix: serial, the
+    // default config, and the caller-driven runtime (at depths 1–3) must
+    // train bit-identically
     // at every world, and all ranks must hold the same weights — DP-KFAC
     // changes *whose* statistics feed the preconditioner, not the
     // data-parallel contract.
     for world in [1usize, 2, 4] {
         let serial =
             train_cfg(world, 10, 137, 1, |b| b.strategy(DistStrategy::LocalOpt).pipelined(false));
-        let pipelined =
-            train_cfg(world, 10, 137, 1, |b| b.strategy(DistStrategy::LocalOpt).pipelined(true));
-        let mut variants = vec![("pipelined".to_string(), pipelined)];
+        let default = train_cfg(world, 10, 137, 1, |b| b.strategy(DistStrategy::LocalOpt));
+        let mut variants = vec![("default".to_string(), default)];
         for depth in [1usize, 2, 3] {
             let runtime = train_cfg(world, 10, 137, 1, |b| {
                 b.strategy(DistStrategy::LocalOpt).async_runtime(true).cross_iter_depth(depth)
@@ -320,7 +320,7 @@ fn local_opt_moves_zero_factor_collective_bytes_at_world_8() {
     type Exec = (&'static str, fn(KfacConfigBuilder) -> KfacConfigBuilder);
     let execs: [Exec; 3] = [
         ("serial", |b| b.pipelined(false)),
-        ("pipelined", |b| b.pipelined(true)),
+        ("default", |b| b),
         ("runtime", |b| b.async_runtime(true).cross_iter_depth(2)),
     ];
     for (name, exec) in execs {
