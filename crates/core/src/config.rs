@@ -1,26 +1,16 @@
 //! K-FAC preconditioner configuration.
+//!
+//! [`KfacConfig`] holds only per-instance settings. The process-global
+//! kernel switches each have one owner outside it, because every `Kfac`
+//! in a process (and the model's own forward/backward) shares them: the
+//! GEMM kernel (`KAISA_GEMM_KERNEL` / `kaisa_tensor::set_gemm_kernel`) and
+//! the SYRK mode (`KAISA_SYRK` / `kaisa_tensor::set_syrk_mode`) live in
+//! `kaisa-tensor`, the eigensolve batch cap (`KAISA_EIG_BATCH`) in
+//! `kaisa-linalg`.
 
-use kaisa_comm::ClusterNetwork;
-use kaisa_tensor::{GemmKernel, Precision, SyrkMode};
+use kaisa_tensor::Precision;
 
 use crate::{AssignmentStrategy, DistStrategy};
-
-/// Depth of the task runtime's cross-iteration scheduling window: how many
-/// step DAGs may be in flight at once (the current step plus retired
-/// residues whose deferred factor completes are still draining).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CrossIterDepth {
-    /// A fixed window depth; `Fixed(1)` is the classic two-half lookahead
-    /// with no cross-step residue.
-    Fixed(usize),
-    /// Pick the modeled-best depth per (plan, network, update frequency) at
-    /// `Kfac::new` time. The choice is a pure function of the layer
-    /// dimensions, world size, configured network, and `factor_update_freq`
-    /// (evaluated at the reference per-rank batch of 32), so every rank
-    /// derives the same depth — a per-rank measurement would break
-    /// collective matching.
-    Auto,
-}
 
 /// Configuration of the [`crate::Kfac`] preconditioner.
 ///
@@ -101,14 +91,8 @@ pub struct KfacConfig {
     /// `cross_iter_depth` beyond 1. `Kfac::step` runs the task runtime
     /// whenever this or `pipelined` is set.
     pub async_runtime: bool,
-    /// α–β parameters of the network the job actually runs on, used by the
-    /// `cross_iter_depth_auto` depth search. `None` falls back to the 10 GbE
-    /// reference model. Part of the config (identical on every rank) so all
-    /// ranks resolve the same depth — a per-rank measurement would break
-    /// collective matching.
-    pub network: Option<ClusterNetwork>,
     /// Depth of the task runtime's cross-iteration scheduling window
-    /// (requires `async_runtime` when not `Fixed(1)`). At depth D the
+    /// (requires `async_runtime` beyond 1). At depth D the
     /// runtime holds up to D in-flight step DAGs: factor-fold completes of
     /// an update step may retire into the window and drain under up to D-1
     /// later iterations' compute, instead of blocking `step_finish`. The
@@ -116,7 +100,7 @@ pub struct KfacConfig {
     /// ordering) — so with `factor_update_freq == 1` every step drains
     /// in-step and depth is effectively 1. Depths are bitwise identical to
     /// the serial executor (property-tested).
-    pub cross_iter_depth: CrossIterDepth,
+    pub cross_iter_depth: usize,
     /// Milliseconds every rank of the world may sit idle in a runtime
     /// scheduler (no runnable task, no collective progress) before the
     /// stall watchdog dumps a per-rank task-state diagnostic and panics
@@ -124,32 +108,6 @@ pub struct KfacConfig {
     /// that is still computing, or has not yet entered its step, keeps the
     /// timer reset, so a slow peer never trips it.
     pub runtime_stall_timeout_ms: u64,
-    /// Worker cap for the batched factor-eigensolve queue at decomposition
-    /// sites. `0` (default) defers to `KAISA_EIG_BATCH` and then one worker
-    /// per core; `1` disables batching entirely (factors solve one call at
-    /// a time, the pre-PR-9 behavior); `N` caps the queue workers at `N`.
-    /// Batching is bitwise identical to serial solves and only ever applies
-    /// to dense-resident factors — shard-resident factors keep their
-    /// one-at-a-time transient-square materialization so the metered
-    /// memory peak is unchanged.
-    pub eig_batch: usize,
-    /// Process-wide GEMM kernel selection applied at [`crate::Kfac::new`]
-    /// ([`kaisa_tensor::set_gemm_kernel`]). `None` (default) leaves the
-    /// `KAISA_GEMM_KERNEL` environment selection (or `auto`) in place.
-    /// Blocked and naive kernels are bitwise interchangeable, so this knob
-    /// is purely observability/performance. Note it is global to the
-    /// process, not scoped to one `Kfac` instance.
-    pub gemm_kernel: Option<GemmKernel>,
-    /// Process-wide SYRK mode applied at [`crate::Kfac::new`]
-    /// ([`kaisa_tensor::set_syrk_mode`]). `None` (default) leaves the
-    /// `KAISA_SYRK` environment selection (or `on`) in place. `On` routes
-    /// factor-statistic Gram products (`aᵀa`, `gᵀg`) through the
-    /// symmetric-rank-k fast path (lower triangle + exact mirror, half the
-    /// multiply-adds) and enables streamed chunked-im2col conv capture;
-    /// `Off` restores the full-GEMM path. The two are bitwise identical,
-    /// so the knob never perturbs the training trajectory. Like
-    /// `gemm_kernel`, it is global to the process.
-    pub syrk: Option<SyrkMode>,
 }
 
 impl Default for KfacConfig {
@@ -171,12 +129,8 @@ impl Default for KfacConfig {
             pipelined: true,
             sharded_factors: false,
             async_runtime: false,
-            network: None,
-            cross_iter_depth: CrossIterDepth::Fixed(1),
+            cross_iter_depth: 1,
             runtime_stall_timeout_ms: 5000,
-            eig_batch: 0,
-            gemm_kernel: None,
-            syrk: None,
         }
     }
 }
@@ -190,7 +144,19 @@ impl KfacConfig {
     /// Validate invariants; called by [`crate::Kfac::new`].
     pub fn validate(&self) {
         assert!(self.grad_worker_frac > 0.0, "grad_worker_frac must be positive");
-        assert!(self.damping > 0.0, "damping must be positive");
+        assert!(
+            self.damping.is_finite() && self.damping > 0.0,
+            "damping must be finite and positive"
+        );
+        if let Some(clip) = self.kl_clip {
+            // A negative clip turns the scale into NaN, which `min(1.0)`
+            // silently maps to 1 (no clipping); a zero clip zeroes every
+            // update. `None` is the way to disable clipping.
+            assert!(
+                clip.is_finite() && clip > 0.0,
+                "kl_clip must be finite and positive (None disables clipping)"
+            );
+        }
         assert!((0.0..1.0).contains(&self.factor_decay), "factor_decay must be in [0, 1)");
         assert!(self.factor_update_freq > 0, "factor_update_freq must be positive");
         assert!(self.inv_update_freq > 0, "inv_update_freq must be positive");
@@ -202,11 +168,9 @@ impl KfacConfig {
             self.factor_update_freq
         );
         assert!(self.runtime_stall_timeout_ms > 0, "runtime_stall_timeout_ms must be positive");
-        if let CrossIterDepth::Fixed(d) = self.cross_iter_depth {
-            assert!(d >= 1, "cross_iter_depth must be at least 1");
-        }
+        assert!(self.cross_iter_depth >= 1, "cross_iter_depth must be at least 1");
         assert!(
-            self.cross_iter_depth == CrossIterDepth::Fixed(1) || self.async_runtime,
+            self.cross_iter_depth == 1 || self.async_runtime,
             "cross_iter_depth beyond 1 requires async_runtime(true): only the task \
              runtime can hold a retired step DAG in flight"
         );
@@ -326,53 +290,16 @@ impl KfacConfigBuilder {
         self
     }
 
-    /// Supply the α–β network parameters of the actual backend for the
-    /// `cross_iter_depth_auto` search (must be identical on every rank;
-    /// defaults to the 10 GbE reference when unset).
-    pub fn network(mut self, network: ClusterNetwork) -> Self {
-        self.cfg.network = Some(network);
-        self
-    }
-
-    /// Set a fixed depth for the task runtime's cross-iteration scheduling
+    /// Set the depth of the task runtime's cross-iteration scheduling
     /// window (depths beyond 1 require `async_runtime(true)`).
     pub fn cross_iter_depth(mut self, depth: usize) -> Self {
-        self.cfg.cross_iter_depth = CrossIterDepth::Fixed(depth);
-        self
-    }
-
-    /// Let `Kfac::new` pick the modeled-best cross-iteration window depth
-    /// for the registered model, world size, configured network, and
-    /// `factor_update_freq` (requires `async_runtime(true)`).
-    pub fn cross_iter_depth_auto(mut self) -> Self {
-        self.cfg.cross_iter_depth = CrossIterDepth::Auto;
+        self.cfg.cross_iter_depth = depth;
         self
     }
 
     /// Set the runtime stall-watchdog timeout in milliseconds.
     pub fn runtime_stall_timeout_ms(mut self, ms: u64) -> Self {
         self.cfg.runtime_stall_timeout_ms = ms;
-        self
-    }
-
-    /// Cap the batched factor-eigensolve queue workers (`0` = auto via
-    /// `KAISA_EIG_BATCH` / core count, `1` = solve one factor per call).
-    pub fn eig_batch(mut self, workers: usize) -> Self {
-        self.cfg.eig_batch = workers;
-        self
-    }
-
-    /// Pin the process-wide GEMM kernel selection at `Kfac::new` time
-    /// (blocked and naive are bitwise interchangeable).
-    pub fn gemm_kernel(mut self, kernel: GemmKernel) -> Self {
-        self.cfg.gemm_kernel = Some(kernel);
-        self
-    }
-
-    /// Pin the process-wide SYRK mode at `Kfac::new` time (`On` and `Off`
-    /// are bitwise interchangeable; `Off` is the full-GEMM oracle lane).
-    pub fn syrk(mut self, mode: SyrkMode) -> Self {
-        self.cfg.syrk = Some(mode);
         self
     }
 
@@ -417,6 +344,30 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "kl_clip must be finite and positive")]
+    fn negative_kl_clip_rejected() {
+        let _ = KfacConfig::builder().kl_clip(Some(-0.001)).build();
+    }
+
+    #[test]
+    #[should_panic(expected = "kl_clip must be finite and positive")]
+    fn zero_kl_clip_rejected() {
+        let _ = KfacConfig::builder().kl_clip(Some(0.0)).build();
+    }
+
+    #[test]
+    #[should_panic(expected = "kl_clip must be finite and positive")]
+    fn non_finite_kl_clip_rejected() {
+        let _ = KfacConfig::builder().kl_clip(Some(f32::NAN)).build();
+    }
+
+    #[test]
+    #[should_panic(expected = "damping must be finite and positive")]
+    fn non_finite_damping_rejected() {
+        let _ = KfacConfig::builder().damping(f32::INFINITY).build();
+    }
+
+    #[test]
     #[should_panic(expected = "at least 1")]
     fn zero_depth_rejected() {
         let _ = KfacConfig::builder().async_runtime(true).cross_iter_depth(0).build();
@@ -443,26 +394,9 @@ mod tests {
     }
 
     #[test]
-    fn kernel_knobs_roundtrip() {
-        let cfg = KfacConfig::builder()
-            .eig_batch(4)
-            .gemm_kernel(GemmKernel::Naive)
-            .syrk(SyrkMode::Off)
-            .build();
-        assert_eq!(cfg.eig_batch, 4);
-        assert_eq!(cfg.gemm_kernel, Some(GemmKernel::Naive));
-        assert_eq!(cfg.syrk, Some(SyrkMode::Off));
-        let default = KfacConfig::default();
-        assert_eq!(default.eig_batch, 0);
-        assert_eq!(default.gemm_kernel, None);
-        assert_eq!(default.syrk, None);
-    }
-
-    #[test]
     fn depth_builder_roundtrip() {
         let cfg = KfacConfig::builder().async_runtime(true).cross_iter_depth(3).build();
-        assert_eq!(cfg.cross_iter_depth, CrossIterDepth::Fixed(3));
-        let auto = KfacConfig::builder().async_runtime(true).cross_iter_depth_auto().build();
-        assert_eq!(auto.cross_iter_depth, CrossIterDepth::Auto);
+        assert_eq!(cfg.cross_iter_depth, 3);
+        assert_eq!(KfacConfig::default().cross_iter_depth, 1);
     }
 }

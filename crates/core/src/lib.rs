@@ -52,13 +52,13 @@ pub use assignment::{
     plan_assignments, plan_assignments_with, AssignmentStrategy, LayerAssignment, WorkPlan,
 };
 pub use checkpoint::{KfacCheckpoint, LayerCheckpoint};
-pub use config::{CrossIterDepth, KfacConfig, KfacConfigBuilder};
+pub use config::{KfacConfig, KfacConfigBuilder};
 pub use memory::{MemoryBudget, MemoryCategory, MemoryMeter};
 pub use pipeline::{ComputeRates, PipelineStage, StepModel, StepModelOptions, TaskGraph};
 pub use preconditioner::Kfac;
 pub use runtime::{
-    auto_cross_iter_depth, modeled_cross_iter_makespans, modeled_depth_makespans, CrossIterModel,
-    CrossStage, OverlapMode, WindowSpec,
+    modeled_cross_iter_makespans, modeled_depth_makespans, CrossIterModel, CrossStage, OverlapMode,
+    WindowSpec,
 };
 pub use state::{KfacLayerState, PackedFactor};
 pub use strategy::{

@@ -17,13 +17,11 @@
 //! 4. **Scaling** (every step): KL-clip scaling `ν = min(1, √(κ/Σ⟨p,g⟩lr²))`
 //!    and write-back into the model's gradients.
 
-use kaisa_comm::{ClusterNetwork, CommTag, Communicator, ReduceOp, ShardSpec};
-use kaisa_linalg::sym_eig_batch_timed;
+use kaisa_comm::{CommTag, Communicator, ReduceOp, ShardSpec};
 use kaisa_nn::Model;
 use kaisa_tensor::Matrix;
 
 use crate::assignment::{plan_assignments_with, LayerAssignment, WorkPlan};
-use crate::config::CrossIterDepth;
 use crate::config::KfacConfig;
 use crate::memory::{MemoryCategory, MemoryMeter};
 use crate::state::{
@@ -33,11 +31,6 @@ use crate::state::{
 use crate::strategy::{effective_worker_frac, FactorReduction, StrategyPlan};
 use crate::timing::{Stage, StageTimes};
 use crate::DistStrategy;
-
-/// One layer's pre-batched eigensolve results: `.0` holds `(Q_A, v_A)` and
-/// `.1` holds `(Q_G, v_G)` when [`Kfac::eig_prepass`] solved them; `None`
-/// slots fall back to the inline per-factor path.
-pub(crate) type EigPrepassSlot = (Option<(Matrix, Vec<f32>)>, Option<(Matrix, Vec<f32>)>);
 
 /// The KAISA K-FAC gradient preconditioner.
 ///
@@ -83,9 +76,6 @@ pub struct Kfac {
     /// draining — the depth-D cross-iteration window ring (front = oldest).
     /// Always empty at depth 1.
     pub(crate) window: std::collections::VecDeque<crate::runtime::executor::RuntimeStep>,
-    /// Resolved cross-iteration window depth (`CrossIterDepth::Auto` is
-    /// resolved once in [`Kfac::new`], identically on every rank).
-    pub(crate) resolved_depth: usize,
     /// Runtime step DAGs planned so far (window indices for the watchdog
     /// and the staging-ring slot rotation).
     pub(crate) windows_built: u64,
@@ -104,16 +94,6 @@ impl Kfac {
     /// distribution plan, and enable capture for the first step.
     pub fn new<M: Model>(cfg: KfacConfig, model: &mut M, comm: &dyn Communicator) -> Self {
         cfg.validate();
-        if let Some(kernel) = cfg.gemm_kernel {
-            // Process-global (the kernel choice must be uniform: GEMM runs
-            // inside model forward/backward too, not just inside K-FAC).
-            kaisa_tensor::set_gemm_kernel(kernel);
-        }
-        if let Some(mode) = cfg.syrk {
-            // Same scope as the GEMM kernel: capture runs inside model
-            // forward/backward, so the SYRK routing must be uniform too.
-            kaisa_tensor::set_syrk_mode(mode);
-        }
         let mut dims = Vec::new();
         let mut names = Vec::new();
         for layer in model.kfac_layers() {
@@ -140,23 +120,7 @@ impl Kfac {
             .zip(&names)
             .map(|(&(a, g), name)| KfacLayerState::new(name.clone(), a, g))
             .collect();
-        let n_layers = dims.len();
-        let resolved_depth = match cfg.cross_iter_depth {
-            CrossIterDepth::Fixed(d) => d,
-            CrossIterDepth::Auto => {
-                // Modeled-best depth on the configured network (10 GbE
-                // reference when unset) at the nominal per-rank batch of
-                // 32 — a pure function of dims/world/network/F, so every
-                // rank resolves the same depth.
-                let network = cfg.network.unwrap_or_else(ClusterNetwork::ethernet_10g);
-                crate::runtime::auto_cross_iter_depth(
-                    &dims,
-                    comm.world_size(),
-                    network,
-                    cfg.factor_update_freq,
-                )
-            }
-        };
+        let staging = StagingRing::new(cfg.cross_iter_depth, dims.len());
         let kfac = Kfac {
             cfg,
             plan,
@@ -169,10 +133,9 @@ impl Kfac {
             comm_bytes: 0,
             runtime_step: None,
             window: std::collections::VecDeque::new(),
-            resolved_depth,
             windows_built: 0,
             mem: MemoryMeter::new(),
-            staging: StagingRing::new(resolved_depth, n_layers),
+            staging,
         };
         // Step 0 updates factors, so the very first forward must capture.
         model.set_kfac_capture(true);
@@ -210,12 +173,6 @@ impl Kfac {
     /// Logical K-FAC communication bytes at the configured precision.
     pub fn comm_bytes(&self) -> u64 {
         self.comm_bytes
-    }
-
-    /// The resolved cross-iteration window depth this instance runs at
-    /// (what `CrossIterDepth::Auto` picked, or the fixed setting).
-    pub fn cross_iter_depth(&self) -> usize {
-        self.resolved_depth
     }
 
     /// This rank's K-FAC memory overhead in bytes (factors + cached
@@ -286,68 +243,6 @@ impl Kfac {
         if transient > 0 {
             self.mem.transient(MemoryCategory::Factors, transient);
         }
-    }
-
-    /// Batch-solve every *dense-resident* factor eigendecomposition this
-    /// rank owns through one [`sym_eig_batch_timed`] queue, returning per
-    /// layer the solved `(Q, v)` pairs (`.0` = A, `.1` = G; `None` where
-    /// the rank does not own the factor, the square is shard-resident, or
-    /// batching is off). Decomposition sites `take()` these instead of
-    /// calling [`KfacLayerState::eig_a`]/[`eig_g`] one at a time.
-    ///
-    /// Only dense-resident squares batch: `sym_eig` borrows them in place,
-    /// so holding many jobs open adds **zero** transient memory and the
-    /// [`Self::note_decomposition_transients`] metering (which assumes
-    /// shard-resident squares materialize one at a time) stays exact.
-    /// Shard-resident factors keep the inline one-at-a-time path.
-    ///
-    /// Per-job wall-clock is attributed to the owning layer's
-    /// `EigCompute` stage, so stage reports match the serial path.
-    pub(crate) fn eig_prepass(&mut self) -> Vec<EigPrepassSlot> {
-        let n = self.states.len();
-        let mut out: Vec<EigPrepassSlot> = (0..n).map(|_| (None, None)).collect();
-        if !self.cfg.use_eigen || self.cfg.eig_batch == 1 {
-            return out;
-        }
-        let rank = self.rank;
-        let states = &self.states;
-        let mut jobs: Vec<(usize, bool)> = Vec::new();
-        for (i, asn) in self.plan.layers.iter().enumerate() {
-            if rank == asn.a_worker && states[i].factor_a.is_some() {
-                jobs.push((i, false));
-            }
-            if rank == asn.g_worker && states[i].factor_g.is_some() {
-                jobs.push((i, true));
-            }
-        }
-        if jobs.len() < 2 {
-            // A single job gains nothing from the queue; leave it to the
-            // inline site (identical math either way).
-            return out;
-        }
-        let inputs: Vec<&Matrix> = jobs
-            .iter()
-            .map(|&(i, is_g)| {
-                if is_g {
-                    states[i].factor_g.as_ref().expect("job collected from dense G")
-                } else {
-                    states[i].factor_a.as_ref().expect("job collected from dense A")
-                }
-            })
-            .collect();
-        let solved = sym_eig_batch_timed(&inputs, self.cfg.eig_batch);
-        drop(inputs);
-        for (&(i, is_g), (result, seconds)) in jobs.iter().zip(solved) {
-            self.times.add_layer(i, Stage::EigCompute, seconds);
-            let eig = if is_g {
-                result.expect("G factor eigendecomposition failed")
-            } else {
-                result.expect("A factor eigendecomposition failed")
-            };
-            let slot = if is_g { &mut out[i].1 } else { &mut out[i].0 };
-            *slot = Some((eig.vectors, eig.values));
-        }
-        out
     }
 
     /// Arm statistic capture on the model if the *upcoming* step is a
@@ -664,15 +559,8 @@ impl Kfac {
         let precision = self.cfg.precision;
         let precompute = self.cfg.precompute_outer;
         let use_eigen = self.cfg.use_eigen;
-        // Batch every dense-resident eigensolve this rank owns up front
-        // (bitwise identical to the inline calls below; per-layer timing
-        // attributed inside). Shard-resident factors stay inline. The loop
-        // below visits layers in index order, so the prepass iterator
-        // stays aligned with `i`.
-        let mut prepass = self.eig_prepass().into_iter();
 
         for i in 0..self.states.len() {
-            let mut presolved = prepass.next().expect("one prepass slot per layer");
             let asn = self.plan.layers[i].clone();
             let is_gw = asn.is_gradient_worker(rank);
             let (a_dim, g_dim) = (self.states[i].a_dim, self.states[i].g_dim);
@@ -726,18 +614,14 @@ impl Kfac {
             let mut va: Option<Vec<f32>> = None;
             let mut vg: Option<Vec<f32>> = None;
             if rank == asn.a_worker {
-                let (qa, values) = match presolved.0.take() {
-                    Some(solved) => solved,
-                    None => self.times.time_layer(i, Stage::EigCompute, || self.states[i].eig_a()),
-                };
+                let (qa, values) =
+                    self.times.time_layer(i, Stage::EigCompute, || self.states[i].eig_a());
                 self.states[i].qa = Some(qa);
                 va = Some(values);
             }
             if rank == asn.g_worker {
-                let (qg, values) = match presolved.1.take() {
-                    Some(solved) => solved,
-                    None => self.times.time_layer(i, Stage::EigCompute, || self.states[i].eig_g()),
-                };
+                let (qg, values) =
+                    self.times.time_layer(i, Stage::EigCompute, || self.states[i].eig_g());
                 self.states[i].qg = Some(qg);
                 vg = Some(values);
             }

@@ -451,7 +451,7 @@ impl Kfac {
         // force-drains ahead of. The one exception: a shard complete whose
         // payload feeds this rank's regather begin must finish in-step,
         // because that begin is gated.
-        if self.resolved_depth > 1 {
+        if self.cfg.cross_iter_depth > 1 {
             for (id, kind) in kinds.iter().enumerate() {
                 let deferrable = match *kind {
                     TaskKind::FactorDenseComplete(_) | TaskKind::FactorGatherComplete(_) => true,
@@ -466,7 +466,7 @@ impl Kfac {
                 }
             }
         }
-        let slot = (window_index % self.resolved_depth as u64) as usize;
+        let slot = (window_index % self.cfg.cross_iter_depth as u64) as usize;
         RuntimeStep { sched, kinds, ctx: StepCtx::new(n, slot), window_index, iteration }
     }
 
@@ -500,7 +500,7 @@ impl Kfac {
         }
         // Capacity: at most `depth` DAGs in flight including the one about
         // to be built.
-        while self.window.len() + 1 > self.resolved_depth {
+        while self.window.len() + 1 > self.cfg.cross_iter_depth {
             let step = self.window.pop_front().expect("window non-empty");
             self.drain_window_step(step, comm);
         }
@@ -527,7 +527,7 @@ impl Kfac {
         // capture — and every task that reads them — to this half.
         ctx.grads = layers.iter().map(|l| l.combined_grad()).collect();
         sched.release_all();
-        if self.resolved_depth == 1 {
+        if self.cfg.cross_iter_depth == 1 {
             sched.run(|id| self.run_task(&kinds[id], &mut layers, comm, &mut ctx, lr));
         } else {
             // Depth-D window: run to quiescence of the *non-deferrable*
@@ -541,7 +541,7 @@ impl Kfac {
             // `depth - 1` subsequent iterations.
             let now = self.steps;
             while self.window.front().is_some_and(|s| {
-                now.saturating_sub(s.iteration) >= (self.resolved_depth - 1) as u64
+                now.saturating_sub(s.iteration) >= (self.cfg.cross_iter_depth - 1) as u64
             }) {
                 let step = self.window.pop_front().expect("window non-empty");
                 self.drain_window_step(step, comm);
@@ -729,21 +729,20 @@ impl Kfac {
                     return TaskPoll::Done;
                 }
                 // The runtime DAG gates each EigSolve on its own layer's
-                // fold, so only the per-layer {A, G} pair can batch here:
+                // fold, so the per-layer {A, G} pair is the one batch site:
                 // when this rank owns both factors and both squares are
                 // dense-resident, solve them through one two-job queue
-                // (bitwise identical; per-factor timing attributed).
+                // (`0` = `KAISA_EIG_BATCH` or one worker per core; bitwise
+                // identical to the serial reference's inline solves;
+                // per-factor timing attributed).
                 let pair_batch = rank == asn.a_worker
                     && rank == asn.g_worker
-                    && self.cfg.eig_batch != 1
                     && self.states[i].factor_a.is_some()
                     && self.states[i].factor_g.is_some();
                 if pair_batch {
                     let fa = self.states[i].factor_a.as_ref().expect("dense A checked");
                     let fg = self.states[i].factor_g.as_ref().expect("dense G checked");
-                    let mut solved =
-                        kaisa_linalg::sym_eig_batch_timed(&[fa, fg], self.cfg.eig_batch)
-                            .into_iter();
+                    let mut solved = kaisa_linalg::sym_eig_batch_timed(&[fa, fg], 0).into_iter();
                     let (ra, sa) = solved.next().expect("A solve queued");
                     let (rg, sg) = solved.next().expect("G solve queued");
                     self.times.add_layer(i, Stage::EigCompute, sa);

@@ -29,15 +29,20 @@
 //!
 //! [`model::CrossIterModel`] extends the cost model across an
 //! `iterations`-long window at any depth to predict the overlap win;
-//! `kaisa-sim` and the `fig7` bench consume it, and
-//! [`model::auto_cross_iter_depth`] drives the `depth(auto)` config mode.
+//! `kaisa-sim`, the `fig7` bench and `bench_report` consume it. The depth
+//! itself is always the caller's fixed `KfacConfig::cross_iter_depth`.
+//!
+//! The runtime's per-layer {A, G} eigensolve pair-batch
+//! (`kaisa_linalg::sym_eig_batch_timed`) is the only batched eigensolve
+//! site; the serial reference solves each factor inline, so the
+//! equivalence suites check the batch against an unbatched oracle.
 
 pub mod executor;
 pub mod model;
 pub mod scheduler;
 
 pub use model::{
-    auto_cross_iter_depth, modeled_cross_iter_makespans, modeled_depth_makespans, CrossIterModel,
-    CrossStage, Interval, OverlapMode, WindowSpec,
+    modeled_cross_iter_makespans, modeled_depth_makespans, CrossIterModel, CrossStage, Interval,
+    OverlapMode, WindowSpec,
 };
 pub use scheduler::{Scheduler, TaskPoll};

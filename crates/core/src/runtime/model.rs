@@ -407,30 +407,6 @@ pub fn modeled_depth_makespans(
     out
 }
 
-/// Pick the cross-iteration window depth (in `1..=min(factor_update_freq,
-/// 4)`) with the best modeled amortized per-iteration time — the smallest
-/// depth within 0.1% of the best, so extra held-DAG memory is never spent
-/// on a modeled tie. Evaluated at the reference per-rank batch of 32. A
-/// pure function of `(dims, world, network, factor_update_freq)`, so every
-/// rank computing it agrees — the requirement for `depth(auto)` to keep
-/// collective matching intact. `factor_update_freq == 1` always yields 1:
-/// the live window force-drains before every factor-update step.
-pub fn auto_cross_iter_depth(
-    dims: &[(usize, usize)],
-    world: usize,
-    network: ClusterNetwork,
-    factor_update_freq: usize,
-) -> usize {
-    let max_depth = factor_update_freq.clamp(1, 4);
-    let table = modeled_depth_makespans(dims, world, network, 32, factor_update_freq, max_depth);
-    let best = table.iter().map(|&(_, s)| s).fold(f64::INFINITY, f64::min);
-    table
-        .iter()
-        .find(|&&(_, s)| s <= best * 1.001)
-        .map(|&(d, _)| d)
-        .expect("depth table is non-empty")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -600,27 +576,6 @@ mod tests {
                 assert_eq!(t.iter % 5, 0, "factor task planned on out-of-phase iteration");
             }
         }
-    }
-
-    #[test]
-    fn auto_depth_is_deterministic_and_bounded() {
-        let dims = resnet_mini_dims();
-        let net = ClusterNetwork::ethernet_10g();
-        let d = auto_cross_iter_depth(&dims, 8, net, 5);
-        assert!((1..=4).contains(&d));
-        // Pure function: repeated evaluation agrees bit for bit.
-        assert_eq!(d, auto_cross_iter_depth(&dims, 8, net, 5));
-        // F = 1 always degenerates to depth 1 (the live window force-drains
-        // before every factor step).
-        assert_eq!(auto_cross_iter_depth(&dims, 8, net, 1), 1);
-    }
-
-    #[test]
-    fn auto_depth_exceeds_one_on_the_comm_bound_reference() {
-        // Where the depth win is real (fig7 reference config), auto must
-        // actually take it.
-        let d = auto_cross_iter_depth(&resnet_mini_dims(), 8, ClusterNetwork::ethernet_10g(), 5);
-        assert!(d >= 2, "auto depth picked {d} on a comm-bound config with F=5");
     }
 
     #[test]

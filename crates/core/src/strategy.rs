@@ -9,9 +9,8 @@
 //! every-executor change.
 //!
 //! It also hosts [`auto_strategy`]: a pure-function dispatcher that picks
-//! the modeled-fastest strategy from the calibrated α–β cost model, under
-//! the same all-ranks-agree contract as
-//! [`crate::runtime::auto_cross_iter_depth`].
+//! the modeled-fastest strategy from the calibrated α–β cost model, so
+//! every rank that calls it agrees without communicating.
 
 use kaisa_comm::{ClusterNetwork, CollectiveCostModel};
 
@@ -248,12 +247,10 @@ pub fn modeled_strategy_makespans(
 /// time for this model/world/network at the reference per-rank batch of 32
 /// and the default update intervals (`F = 10`, `K = 100`).
 ///
-/// Same all-ranks-agree contract as
-/// [`crate::runtime::auto_cross_iter_depth`]: a pure function of its
-/// arguments, so every rank dispatches identically — a per-rank measurement
-/// would break collective matching. Within 0.1% of the best time the
-/// fewest-gradient-workers candidate wins (less cached eigendecomposition
-/// memory for the same modeled speed).
+/// A pure function of its arguments, so every rank dispatches identically
+/// — a per-rank measurement would break collective matching. Within 0.1%
+/// of the best time the fewest-gradient-workers candidate wins (less
+/// cached eigendecomposition memory for the same modeled speed).
 ///
 /// Only the three *exact* strategies (MEM/HYBRID/COMM-OPT, which are
 /// bitwise-identical reformulations of the same update) are candidates.

@@ -118,11 +118,6 @@ pub fn sym_eig_batch_timed(
     out.into_iter().map(|slot| slot.expect("every queued job solved exactly once")).collect()
 }
 
-/// [`sym_eig_batch_timed`] without the timings, with auto worker count.
-pub fn sym_eig_batch(inputs: &[&Matrix]) -> Vec<Result<SymEig, EigenError>> {
-    sym_eig_batch_timed(inputs, 0).into_iter().map(|(result, _)| result).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -184,11 +179,11 @@ mod tests {
 
     #[test]
     fn empty_and_single_batches() {
-        assert!(sym_eig_batch(&[]).is_empty());
+        assert!(sym_eig_batch_timed(&[], 0).is_empty());
         let mut rng = Rng::seed_from_u64(9);
         let m = random_symmetric(6, &mut rng);
-        let one = sym_eig_batch(&[&m]);
+        let one = sym_eig_batch_timed(&[&m], 0);
         assert_eq!(one.len(), 1);
-        assert!(one[0].is_ok());
+        assert!(one[0].0.is_ok());
     }
 }

@@ -7,7 +7,7 @@
 //!   inversion (Section 2.1.3). Factor eigendecompositions produce real
 //!   eigenvalues and orthogonal eigenvectors because the Kronecker factors
 //!   `A = aᵀa` and `G = gᵀg` are symmetric positive semi-definite.
-//! * [`sym_eig_batch_timed`] / [`sym_eig_batch`] — queue-drained batched
+//! * [`sym_eig_batch_timed`] — queue-drained batched
 //!   solves of many independent factors with per-worker reused
 //!   [`EigScratch`], bitwise identical to per-call [`sym_eig`]; worker cap
 //!   via `KAISA_EIG_BATCH` or the caller.
@@ -32,7 +32,7 @@ mod eigen;
 mod inverse;
 mod triangular;
 
-pub use batch::{eig_batch_workers, sym_eig_batch, sym_eig_batch_timed};
+pub use batch::{eig_batch_workers, sym_eig_batch_timed};
 pub use cholesky::{cholesky, cholesky_solve, spd_inverse, CholeskyError};
 pub use eigen::{sym_eig, sym_eig_with_scratch, EigScratch, EigenError, SymEig};
 pub use inverse::lu_inverse;

@@ -109,7 +109,7 @@ impl Conv2d {
                     // materializing the (rows x a_dim) augmented matrix.
                     // Chunks partition the rows in ascending input order,
                     // so the sum is bitwise identical to the one-shot path.
-                    let contrib = self.streamed_a_contrib(x);
+                    let contrib = self.streamed_a_contrib(x, syrk_chunk_rows());
                     self.kfac.record_forward_stat(contrib, n);
                 } else if self.bias.is_some() {
                     let aug = patches.append_ones_column();
@@ -184,15 +184,15 @@ impl Conv2d {
     /// Unscaled `aᵀa` over the (augmented) patch matrix of `x`, computed by
     /// streaming im2col row chunks through `capture_scratch` and
     /// accumulating SYRK contributions. The scratch holds `chunk x a_dim`
-    /// floats (`KAISA_SYRK_CHUNK` rows) with the bias ones-column written
+    /// floats (at most `chunk_rows` rows) with the bias ones-column written
     /// once per allocation — `im2col_rows` only touches the patch columns.
-    fn streamed_a_contrib(&mut self, x: &Tensor4) -> Matrix {
+    fn streamed_a_contrib(&mut self, x: &Tensor4, chunk_rows: usize) -> Matrix {
         let (n, _, h, w) = x.shape();
         let (oh, ow) = self.geom.out_shape(h, w);
         let rows = n * oh * ow;
         let patch_len = self.weight.cols();
         let a_dim = patch_len + usize::from(self.bias.is_some());
-        let chunk = syrk_chunk_rows().min(rows.max(1));
+        let chunk = chunk_rows.min(rows.max(1));
         let fits = matches!(&self.capture_scratch, Some(s) if s.shape() == (chunk, a_dim));
         if !fits {
             let mut s = Matrix::zeros(chunk, a_dim);
@@ -356,30 +356,32 @@ mod tests {
     fn streamed_capture_matches_full_path_bitwise() {
         // The streamed chunked-im2col SYRK capture must reproduce the
         // one-shot augmented-patch-matrix path bit for bit, for every
-        // chunk size and with/without bias.
-        use kaisa_tensor::set_syrk_chunk_rows;
+        // chunk size and with/without bias. Chunk sizes go straight to the
+        // streaming helper, so no process-wide state is touched.
         let mut rng = Rng::seed_from_u64(85);
         let x = Tensor4::randn(2, 2, 5, 4, 1.0, &mut rng);
         for has_bias in [true, false] {
-            let mut reference = Conv2d::new("ref", 2, 3, 3, 1, 1, has_bias, &mut rng);
-            reference.kfac.enabled = true;
+            let reference = Conv2d::new("ref", 2, 3, 3, 1, 1, has_bias, &mut rng);
             // Reference: the pre-SYRK full path, computed explicitly.
             let patches = im2col(&x, &reference.geom);
             let aug = if has_bias { patches.append_ones_column() } else { patches };
-            let mut expect = aug.matmul_tn(&aug);
-            expect.scale(1.0 / 2.0);
+            let expect = aug.matmul_tn(&aug);
             for chunk in [1usize, 3, 16, 1 << 20] {
-                set_syrk_chunk_rows(chunk);
                 let mut conv = reference.clone();
-                let y = conv.forward(&x, true);
-                let g = Tensor4::randn(y.n(), y.c(), y.h(), y.w(), 0.1, &mut rng);
-                let _ = conv.backward(&g);
-                let stats = conv.kfac.take_stats().unwrap();
-                for (a, b) in stats.a_stat.as_slice().iter().zip(expect.as_slice()) {
+                let got = conv.streamed_a_contrib(&x, chunk);
+                for (a, b) in got.as_slice().iter().zip(expect.as_slice()) {
                     assert_eq!(a.to_bits(), b.to_bits(), "bias={has_bias} chunk={chunk}");
                 }
             }
-            set_syrk_chunk_rows(0);
+            // And end to end through `forward`, scaled by 1/batch.
+            let mut conv = reference.clone();
+            conv.kfac.enabled = true;
+            let y = conv.forward(&x, true);
+            let _ = conv.backward(&Tensor4::randn(y.n(), y.c(), y.h(), y.w(), 0.1, &mut rng));
+            let stats = conv.kfac.take_stats().unwrap();
+            for (a, b) in stats.a_stat.as_slice().iter().zip(expect.as_slice()) {
+                assert_eq!(a.to_bits(), (b / 2.0).to_bits(), "bias={has_bias} forward");
+            }
         }
     }
 

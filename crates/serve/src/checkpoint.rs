@@ -138,7 +138,9 @@ impl JobCheckpoint {
         out
     }
 
-    /// Decode a byte stream produced by [`JobCheckpoint::to_bytes`].
+    /// Decode a byte stream produced by [`JobCheckpoint::to_bytes`]. Every
+    /// present layer field's length is checked against the layer's
+    /// `a_dim`/`g_dim`, so a restore never sees a mis-shaped field.
     pub fn from_bytes(bytes: &[u8]) -> Result<JobCheckpoint, CheckpointError> {
         let mut r = Reader { buf: bytes, pos: 0 };
         if r.take(MAGIC.len())? != MAGIC {
@@ -172,6 +174,7 @@ impl JobCheckpoint {
                             _ => return Err(CheckpointError::Invalid("field flag is not 0/1")),
                         };
                     }
+                    check_field_lengths(&fields, a_dim, g_dim)?;
                     let [factor_a, factor_g, qa, qg, outer, va, vg, inv_a, inv_g, ekfac_scale] =
                         fields;
                     layers.push(LayerCheckpoint {
@@ -215,6 +218,43 @@ fn layer_fields(layer: &LayerCheckpoint) -> [Option<&Vec<f32>>; 10] {
         layer.inv_g.as_ref(),
         layer.ekfac_scale.as_ref(),
     ]
+}
+
+/// Reject a present field whose length does not match its shape class:
+/// `a_dim²` (factor_a, qa, inv_a), `g_dim²` (factor_g, qg, inv_g),
+/// `g_dim·a_dim` (outer, ekfac_scale), `a_dim` (va) or `g_dim` (vg).
+/// Restore would otherwise panic on a square field, or silently install a
+/// wrong-length eigenvalue vector or packed factor.
+fn check_field_lengths(
+    fields: &[Option<Vec<f32>>; 10],
+    a_dim: usize,
+    g_dim: usize,
+) -> Result<(), CheckpointError> {
+    let overflow = CheckpointError::Invalid("factor dimensions overflow");
+    let a_sq = a_dim.checked_mul(a_dim).ok_or(overflow.clone())?;
+    let g_sq = g_dim.checked_mul(g_dim).ok_or(overflow.clone())?;
+    let ga = g_dim.checked_mul(a_dim).ok_or(overflow)?;
+    let a_sq_len = (a_sq, "factor_a/qa/inv_a length is not a_dim²");
+    let g_sq_len = (g_sq, "factor_g/qg/inv_g length is not g_dim²");
+    let ga_len = (ga, "outer/ekfac_scale length is not g_dim·a_dim");
+    let expected = [
+        a_sq_len,
+        g_sq_len,
+        a_sq_len,
+        g_sq_len,
+        ga_len,
+        (a_dim, "va length is not a_dim"),
+        (g_dim, "vg length is not g_dim"),
+        a_sq_len,
+        g_sq_len,
+        ga_len,
+    ];
+    for (field, (len, what)) in fields.iter().zip(expected) {
+        if field.as_ref().is_some_and(|f| f.len() != len) {
+            return Err(CheckpointError::Invalid(what));
+        }
+    }
+    Ok(())
 }
 
 fn put_u32(out: &mut Vec<u8>, v: u32) {
@@ -375,6 +415,61 @@ mod tests {
         let params_off = MAGIC.len() + 4 + 8;
         huge[params_off..params_off + 8].copy_from_slice(&u64::MAX.to_le_bytes());
         assert!(matches!(JobCheckpoint::from_bytes(&huge), Err(CheckpointError::Truncated { .. })));
+    }
+
+    /// Encode `sample()` with one layer field replaced, then decode.
+    fn decode_with(
+        edit: impl FnOnce(&mut LayerCheckpoint),
+    ) -> Result<JobCheckpoint, CheckpointError> {
+        let mut ckpt = sample();
+        edit(&mut ckpt.kfac.as_mut().unwrap().layers[0]);
+        JobCheckpoint::from_bytes(&ckpt.to_bytes())
+    }
+
+    #[test]
+    fn a_square_field_length_is_checked() {
+        // a_dim = 2, so a² = 4.
+        let err = decode_with(|l| l.qa = Some(vec![1.0; 3])).unwrap_err();
+        assert_eq!(err, CheckpointError::Invalid("factor_a/qa/inv_a length is not a_dim²"));
+    }
+
+    #[test]
+    fn g_square_field_length_is_checked() {
+        // g_dim = 1, so g² = 1.
+        let err = decode_with(|l| l.inv_g = Some(vec![1.0; 2])).unwrap_err();
+        assert_eq!(err, CheckpointError::Invalid("factor_g/qg/inv_g length is not g_dim²"));
+    }
+
+    #[test]
+    fn outer_shaped_field_length_is_checked() {
+        // g·a = 2.
+        let err = decode_with(|l| l.ekfac_scale = Some(vec![1.0; 4])).unwrap_err();
+        assert_eq!(err, CheckpointError::Invalid("outer/ekfac_scale length is not g_dim·a_dim"));
+    }
+
+    #[test]
+    fn a_vector_field_length_is_checked() {
+        let err = decode_with(|l| l.va = Some(vec![1.0])).unwrap_err();
+        assert_eq!(err, CheckpointError::Invalid("va length is not a_dim"));
+        assert!(decode_with(|l| l.va = Some(vec![1.0, 2.0])).is_ok());
+    }
+
+    #[test]
+    fn g_vector_field_length_is_checked() {
+        let err = decode_with(|l| l.vg = Some(vec![1.0, 2.0])).unwrap_err();
+        assert_eq!(err, CheckpointError::Invalid("vg length is not g_dim"));
+        assert!(decode_with(|l| l.vg = Some(vec![3.0])).is_ok());
+    }
+
+    #[test]
+    fn overflowing_dims_are_rejected() {
+        // A dim whose square overflows usize must fail cleanly, not wrap.
+        let fields: [Option<Vec<f32>>; 10] = Default::default();
+        let huge = 1usize << (usize::BITS / 2);
+        assert_eq!(
+            check_field_lengths(&fields, huge, 1),
+            Err(CheckpointError::Invalid("factor dimensions overflow"))
+        );
     }
 
     #[test]

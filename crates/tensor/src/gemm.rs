@@ -6,8 +6,7 @@
 //! materializing transposes.
 //!
 //! Two kernel families sit behind each entry point, selected by
-//! [`GemmKernel`] (env `KAISA_GEMM_KERNEL`, [`set_gemm_kernel`], or the
-//! `KfacConfig` knob in `kaisa-core`):
+//! [`GemmKernel`] (env `KAISA_GEMM_KERNEL` or [`set_gemm_kernel`]):
 //!
 //! * **naive** — the original i-k-j / k-i-j / dot-product loops. These are
 //!   the reference implementation the blocked path is property-tested
@@ -39,8 +38,8 @@ pub(crate) const NR: usize = 16;
 pub(crate) const MC: usize = 48;
 
 /// GEMM kernel selection, settable per process via the `KAISA_GEMM_KERNEL`
-/// environment variable (`auto` | `blocked` | `naive`), [`set_gemm_kernel`],
-/// or the `gemm_kernel` config knob in `kaisa-core`.
+/// environment variable (`auto` | `blocked` | `naive`) or
+/// [`set_gemm_kernel`].
 ///
 /// Both kernels produce bitwise-identical results (property-tested); the
 /// selection only trades packing overhead against microkernel throughput,

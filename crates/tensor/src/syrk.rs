@@ -27,9 +27,9 @@
 //! chunk-by-chunk over row blocks of the patch matrix; because the chunks
 //! partition `kk` in ascending input order and the kernels accumulate into
 //! the live `C`, chunked accumulation is bitwise identical to one shot.
-//! [`syrk_chunk_rows`] (env `KAISA_SYRK_CHUNK`) bounds those chunks.
+//! [`syrk_chunk_rows`] (a constant 256) bounds those chunks.
 
-use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
 
 use crate::gemm::{
@@ -38,9 +38,10 @@ use crate::gemm::{
 };
 
 /// Whether factor-statistic Gram products route through the SYRK fast path
-/// (env `KAISA_SYRK`, [`set_syrk_mode`], or the `syrk` config knob in
-/// `kaisa-core`). Both settings produce bitwise-identical results; `off`
-/// exists as the permanent full-GEMM oracle lane for CI and bisection.
+/// (env `KAISA_SYRK` or [`set_syrk_mode`]; process-wide, so it has no
+/// per-instance config copy). Both settings produce bitwise-identical
+/// results; `off` exists as the permanent full-GEMM oracle lane for CI and
+/// bisection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SyrkMode {
     /// Lower-triangle SYRK + mirror (half the multiply-adds). The default.
@@ -108,38 +109,12 @@ pub fn syrk_mode() -> SyrkMode {
     }
 }
 
-/// Default rows per streamed im2col chunk (`KAISA_SYRK_CHUNK` unset).
-const DEFAULT_CHUNK_ROWS: usize = 256;
-
-/// Process-wide programmatic chunk override; 0 = unset.
-static CHUNK_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-
-fn env_chunk_rows() -> usize {
-    static ENV: OnceLock<usize> = OnceLock::new();
-    *ENV.get_or_init(|| {
-        std::env::var("KAISA_SYRK_CHUNK")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or(DEFAULT_CHUNK_ROWS)
-    })
-}
-
-/// Rows per streamed im2col chunk for conv factor capture: the last nonzero
-/// [`set_syrk_chunk_rows`] value, else `KAISA_SYRK_CHUNK`, else 256. The
-/// chunk size bounds the per-layer capture scratch (`chunk × a_dim` floats)
-/// and never changes results — chunked SYRK accumulation in input order is
-/// bitwise identical to one shot.
+/// Rows per streamed im2col chunk for conv factor capture: a constant
+/// 256. The chunk size bounds the per-layer capture scratch
+/// (`chunk × a_dim` floats) and never changes results — chunked SYRK
+/// accumulation in input order is bitwise identical to one shot.
 pub fn syrk_chunk_rows() -> usize {
-    match CHUNK_OVERRIDE.load(Ordering::Relaxed) {
-        0 => env_chunk_rows(),
-        n => n,
-    }
-}
-
-/// Override the streamed-capture chunk size (0 resets to the env/default).
-pub fn set_syrk_chunk_rows(rows: usize) {
-    CHUNK_OVERRIDE.store(rows, Ordering::Relaxed);
+    256
 }
 
 /// `C[m x m] += AᵀA` where `A` is stored `[k x m]` row-major — the

@@ -87,16 +87,36 @@ const PIPELINED: Build = |b| b.pipelined(true);
 /// monolithic step.
 const ASYNC_RUNTIME: Build = |b| b.async_runtime(true);
 
+/// True if `train`'s MLP plan at (`world`, `frac`) has a layer whose A and
+/// G eigensolves land on one rank — the case the runtime solves as a
+/// batched {A, G} pair while the serial reference solves each inline.
+fn plan_colocates_a_layer(world: usize, frac: f64) -> bool {
+    ThreadComm::run(world, |comm| {
+        let mut model = Mlp::new(&[8, 12, 4], &mut Rng::seed_from_u64(32));
+        let cfg = KfacConfig::builder().grad_worker_frac(frac).build();
+        let kfac = Kfac::new(cfg, &mut model, comm);
+        kfac.plan().layers.iter().any(|l| l.a_worker == l.g_worker)
+    })[0]
+}
+
 /// Serial reference vs `config` on the full strategy matrix.
 fn check_strategies_and_worlds(name: &str, config: Build) {
+    let mut pair_batch_cells = 0;
     for world in [1usize, 2, 4, 8] {
         for frac in [1.0 / world as f64, 0.5, 1.0] {
             let serial = train(world, 10, 31, |b| b.grad_worker_frac(frac).pipelined(false));
             let runtime = train(world, 10, 31, |b| config(b.grad_worker_frac(frac)));
             let ctx = format!("{name} world={world} frac={frac}");
             assert_bitwise_equal(&serial, &runtime, &ctx);
+            if world >= 2 && plan_colocates_a_layer(world, frac) {
+                pair_batch_cells += 1;
+            }
         }
     }
+    assert!(
+        pair_batch_cells > 0,
+        "{name}: no dense cell beyond world 1 runs the runtime's {{A, G}} pair-batch"
+    );
 }
 
 /// Serial reference vs `config` across precision and communication layouts.
@@ -494,28 +514,6 @@ fn depth_window_is_bitwise_identical_with_fp16_triangular_and_grad_accum() {
         b.grad_worker_frac(0.5).sharded_factors(true).cross_iter_depth(3)
     });
     assert_bitwise_equal(&shallow, &deep, "depth=3 grad_accum=2");
-}
-
-#[test]
-fn depth_auto_resolves_identically_on_every_rank() {
-    // depth(auto) is a pure function of layer dims, world size, network,
-    // and the factor update frequency — so every rank must resolve the
-    // same depth without communicating.
-    let depths = ThreadComm::run(4, |comm| {
-        let mut model = Mlp::new(&[8, 12, 4], &mut Rng::seed_from_u64(9));
-        let cfg = KfacConfig::builder()
-            .factor_update_freq(5)
-            .inv_update_freq(10)
-            .async_runtime(true)
-            .cross_iter_depth_auto()
-            .network(ClusterNetwork::ethernet_10g())
-            .build();
-        let kfac = Kfac::new(cfg, &mut model, comm);
-        comm.barrier();
-        kfac.cross_iter_depth()
-    });
-    assert!(depths.iter().all(|&d| d == depths[0]), "ranks disagree on auto depth: {depths:?}");
-    assert!(depths[0] >= 1);
 }
 
 #[test]

@@ -360,10 +360,9 @@ fn local_opt_moves_zero_factor_collective_bytes_at_world_8() {
 
 #[test]
 fn auto_strategy_agrees_on_every_rank() {
-    // The dispatcher is a pure function of (dims, world, network) — the
-    // same all-ranks-agree contract as depth(auto): every rank must pick
-    // the same strategy without communicating, or ranks would plan
-    // different collectives and deadlock.
+    // The dispatcher is a pure function of (dims, world, network): every
+    // rank must pick the same strategy without communicating, or ranks
+    // would plan different collectives and deadlock.
     let dims: Vec<(usize, usize)> = vec![(576, 64), (1152, 128), (2304, 256), (512, 10)];
     for network in [ClusterNetwork::ethernet_10g(), ClusterNetwork::infiniband_edr()] {
         let picks = ThreadComm::run(WORLD, |comm| {
